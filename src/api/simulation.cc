@@ -1,6 +1,7 @@
 #include "api/simulation.hh"
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -40,8 +41,18 @@ SimResults::saturated() const
     return acceptedFraction < 0.9 * offeredFraction;
 }
 
+namespace {
+
+constexpr double kNoStop = std::numeric_limits<double>::infinity();
+
+/**
+ * runSimulation(), plus findSaturation()'s early exit: the sample phase
+ * stops, undrained, once the sample's latency-sum lower bound divided
+ * by the sample size exceeds `stop_latency` -- the probe's mean can
+ * then only fail the same test.  kNoStop runs the full protocol.
+ */
 SimResults
-runSimulation(const SimConfig &cfg)
+simulate(const SimConfig &cfg, double stop_latency)
 {
     if (cfg.mode != "sample" && cfg.mode != "fixed") {
         throw std::invalid_argument("sim.mode must be 'sample' or "
@@ -109,36 +120,39 @@ runSimulation(const SimConfig &cfg)
         // never drain).  done() can only change on a cycle where some
         // component acts, so fast-forwarding through idle regions
         // between steps never skips the termination cycle.
+        //
+        // With telemetry, idle jumps are capped at sampling boundaries
+        // and poll() runs before sizing each jump and again after it
+        // (a jump landing on a boundary emits before the boundary
+        // cycle runs); a capped jump that parks on a boundary with no
+        // due wake resumes the jump instead of stepping (see
+        // ParallelStepper::stepTo for why this is schedule-identical
+        // to the uncapped loop).
         telem::HostProfiler::Scope phase(tel ? &tel->host() : nullptr,
                                          "sample");
-        if (!tel) {
-            while (!ctrl.done() && network.now() < cfg.maxCycles) {
-                stepper.skipIdle(cfg.maxCycles);
-                if (network.now() >= cfg.maxCycles)
-                    break;
-                stepper.step();
+        const double n = double(ctrl.sampleSize());
+        while (!ctrl.done() && network.now() < cfg.maxCycles) {
+            if (stop_latency < kNoStop &&
+                double(ctrl.latencySumLowerBound(network.now())) / n >
+                    stop_latency) {
+                break;
             }
-        } else {
-            // Telemetry variant: idle jumps capped at sampling
-            // boundaries, poll() before sizing each jump and again
-            // after it (a jump landing on a boundary emits before the
-            // boundary cycle runs); a capped jump that parks on a
-            // boundary with no due wake resumes the jump instead of
-            // stepping (see ParallelStepper::stepTo for why this is
-            // schedule-identical to the plain loop).
-            while (!ctrl.done() && network.now() < cfg.maxCycles) {
+            if (tel)
                 tel->poll();
-                sim::Cycle before = network.now();
-                stepper.skipIdle(tel->cap(cfg.maxCycles));
+            sim::Cycle before = network.now();
+            sim::Cycle cap = tel ? tel->cap(cfg.maxCycles) : cfg.maxCycles;
+            stepper.skipIdle(cap);
+            if (tel)
                 tel->poll();
-                if (network.now() >= cfg.maxCycles)
-                    break;
-                if (network.now() != before &&
-                    network.nextWakeCycle() > network.now()) {
-                    continue;
-                }
-                stepper.step();
+            if (network.now() >= cfg.maxCycles)
+                break;
+            // Only a jump that stopped at an observer's cap can park
+            // short of the next wake; an uncapped one lands on it.
+            if (network.now() == cap && network.now() != before &&
+                network.nextWakeCycle() > network.now()) {
+                continue;
             }
+            stepper.step();
         }
     }
 
@@ -169,6 +183,14 @@ runSimulation(const SimConfig &cfg)
         res.prof = std::make_shared<const prof::Capture>(
             prof->takeCapture());
     return res;
+}
+
+} // namespace
+
+SimResults
+runSimulation(const SimConfig &cfg)
+{
+    return simulate(cfg, kNoStop);
 }
 
 std::vector<SimResults>
@@ -213,16 +235,25 @@ findSaturation(SimConfig cfg, double latency_limit, double tolerance)
 {
     pdr_assert(tolerance > 0.0);
 
-    // Zero-load latency reference at 2 % load.
+    // Zero-load latency reference at 2 % load.  It is also the lowest
+    // candidate, so it answers the first bracket check itself.
     cfg.net.setOfferedFraction(0.02);
-    double zero_load = runSimulation(cfg).avgLatency;
+    SimResults zr = runSimulation(cfg);
+    double zero_load = zr.avgLatency;
     pdr_assert(zero_load > 0.0);
+    const double limit = latency_limit * zero_load;
+    if (!(zr.drained && zr.avgLatency <= limit))
+        return 0.0;
 
     // Evaluate a whole batch of candidate loads in one parallel sweep.
     // Each point keeps cfg's own seed, so a load evaluates to exactly
     // what a serial probe at that load would have measured, and the
     // fixed candidate grid makes the estimate independent of the
-    // thread count.
+    // thread count.  A probe stops early once its latency-sum lower
+    // bound proves the mean will exceed the limit; it then reports
+    // undrained, which fails the test exactly as the full run would
+    // have (docs/ARCHITECTURE.md, "Saturation search").
+    auto probe = [limit](const SimConfig &c) { return simulate(c, limit); };
     auto eval_ok = [&](const std::vector<double> &loads) {
         std::vector<exec::SweepPoint> points;
         points.reserve(loads.size());
@@ -233,20 +264,17 @@ findSaturation(SimConfig cfg, double latency_limit, double tolerance)
         }
         exec::SweepOptions opts;
         opts.deriveSeeds = false;
-        auto sweep = exec::SweepRunner(opts).run(points);
+        auto sweep = exec::SweepRunner(opts).run(points, probe);
         sweep.throwIfFailed();
         std::vector<bool> ok(points.size());
         for (std::size_t i = 0; i < sweep.points.size(); i++) {
             const auto &r = sweep.points[i].res;
-            ok[i] = r.drained &&
-                    r.avgLatency <= latency_limit * zero_load;
+            ok[i] = r.drained && r.avgLatency <= limit;
         }
         return ok;
     };
 
     double lo = 0.02, hi = 1.0;
-    if (!eval_ok({lo})[0])
-        return 0.0;
 
     // Bracketing grid search: each round splits [lo, hi] into
     // `fanout` + 1 intervals and evaluates all interior candidates at

@@ -151,11 +151,19 @@ exec::SweepResults runSweep(const std::vector<exec::SweepPoint> &points,
  * load that still drains with average latency below `latency_limit`
  * times the zero-load latency.
  *
- * The bracket is narrowed by evaluating a whole candidate grid per
+ * The zero-load probe (2 % load) also decides the lower bracket end.
+ * The bracket is then narrowed by evaluating a whole candidate grid per
  * round through the sweep engine (parallel across PDR_THREADS), rather
  * than one serial bisection probe at a time.  The candidate grid is
  * fixed, so the estimate is independent of the thread count and stays
  * within `tolerance` of what serial bisection returns.
+ *
+ * A candidate probe stops early once a lower bound on its sample's
+ * latency sum proves the mean will exceed the limit
+ * (MeasureController::latencySumLowerBound); it then fails exactly as
+ * the full run would, so the estimate is bit-identical to running
+ * every probe to completion (docs/ARCHITECTURE.md, "Saturation
+ * search").  runSimulation() itself never stops early.
  */
 double findSaturation(SimConfig cfg, double latency_limit = 4.0,
                       double tolerance = 0.01);

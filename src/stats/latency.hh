@@ -62,6 +62,8 @@ class LatencyStats
     LatencyStats deltaSince(const LatencyStats &prev) const;
 
     std::uint64_t count() const { return count_; }
+    /** Sum of measured latencies (exact while below 2^53 cycles). */
+    double sum() const { return sum_; }
     double mean() const;
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }

@@ -18,6 +18,7 @@ MeasureController::tryTag(sim::Cycle now)
     if (now < warmup_ || tagged() >= sample_)
         return false;
     tagged_.fetch_add(1, std::memory_order_relaxed);
+    ctimeSum_.fetch_add(now, std::memory_order_relaxed);
     return true;
 }
 

@@ -24,6 +24,10 @@
  *   Ordered - the quota runs out mid-cycle and the serial tick order
  *             (node index) decides which packets are tagged: the
  *             stepper serializes the source phase for this cycle.
+ *
+ * Two more sums -- creation cycles of tagged packets and ejection
+ * cycles of received ones -- give latencySumLowerBound(), which lets a
+ * saturation probe stop as soon as its verdict is certain.
  */
 
 #ifndef PDR_TRAFFIC_MEASURE_HH
@@ -47,11 +51,29 @@ class MeasureController
      */
     bool tryTag(sim::Cycle now);
 
-    /** A tagged packet was fully received. */
+    /** A tagged packet was fully received at cycle `now`. */
     void
-    taggedReceived()
+    taggedReceived(sim::Cycle now)
     {
         received_.fetch_add(1, std::memory_order_relaxed);
+        ejectSum_.fetch_add(now, std::memory_order_relaxed);
+    }
+
+    /**
+     * A lower bound on the sample's final latency sum, read between
+     * cycles with the clock at `now` (every cycle before `now` has
+     * run): the received packets' exact latencies, plus now - ctime
+     * for each tagged packet still in flight -- it cannot eject before
+     * `now`.  Untagged sample slots count as zero.  Never decreases as
+     * the run advances, and equals the final sum once done().
+     */
+    std::uint64_t
+    latencySumLowerBound(sim::Cycle now) const
+    {
+        std::uint64_t in_flight = tagged() - received();
+        return ejectSum_.load(std::memory_order_relaxed) +
+               in_flight * now -
+               ctimeSum_.load(std::memory_order_relaxed);
     }
 
     /** All tagged packets created and received. */
@@ -102,6 +124,8 @@ class MeasureController
     std::uint64_t sample_;
     std::atomic<std::uint64_t> tagged_{0};
     std::atomic<std::uint64_t> received_{0};
+    std::atomic<std::uint64_t> ctimeSum_{0};    //!< Over tagged packets.
+    std::atomic<std::uint64_t> ejectSum_{0};    //!< Over received ones.
 };
 
 } // namespace pdr::traffic

@@ -38,7 +38,7 @@ Sink::tick(sim::Cycle now)
             sim::Cycle lat = now - f.ctime;
             latency_.record(double(lat), f.measured);
             if (f.measured)
-                ctrl_.taggedReceived();
+                ctrl_.taggedReceived(now);
             if (trace_)
                 trace_->push_back({f.packet, node_, now, lat});
         } else {
