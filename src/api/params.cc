@@ -312,17 +312,6 @@ defs()
              c.net.router.specEqualPriority =
                  parseBool("router.spec_equal_priority", v);
          }},
-        {"router.scalar_alloc",
-         "use the dense scalar allocator oracle (A/B benchmarking; "
-         "grants are bit-identical to the bitmask engine)",
-         [](const SimConfig &c) {
-             return std::string(
-                 c.net.router.scalarAlloc ? "true" : "false");
-         },
-         [](SimConfig &c, const std::string &v) {
-             c.net.router.scalarAlloc =
-                 parseBool("router.scalar_alloc", v);
-         }},
         {"sim.seed", "base RNG seed",
          [](const SimConfig &c) { return std::to_string(c.net.seed); },
          [](SimConfig &c, const std::string &v) {

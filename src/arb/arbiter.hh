@@ -21,9 +21,9 @@ constexpr int NoGrant = -1;
 /**
  * A request row: element i nonzero iff requestor i bids.  This is the
  * dense byte representation used by the abstract interface, the
- * round-robin ablation arbiter, and the scalar oracle; the router hot
- * path stages packed uint64_t rows instead (arb/bitrow.hh) and calls
- * MatrixArbiter::arbitrateMask directly.
+ * round-robin ablation arbiter, and the test-only scalar oracle; the
+ * router hot path stages packed uint64_t rows instead (arb/bitrow.hh)
+ * and calls MatrixArbiter::arbitrateMask directly.
  */
 using ReqRow = std::vector<std::uint8_t>;
 

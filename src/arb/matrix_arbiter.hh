@@ -13,10 +13,9 @@
  * triangles materialized; the diagonal is never set).  A grant test for
  * requestor i is then one AND-reduce -- i wins iff no *other* requestor
  * falls outside row i: (requests & ~row_i & ~bit_i) == 0 -- and
- * arbitrate walks only the set bits of the request word.  The scalar
- * reference implementation is retained verbatim as
- * ScalarMatrixArbiter in scalar_oracle.hh; tests/arb/test_alloc_equiv.cc
- * drives both in lockstep.
+ * arbitrate walks only the set bits of the request word.
+ * tests/arb/test_alloc_equiv.cc drives it in lockstep with the dense
+ * byte-matrix reference in tests/arb/scalar_oracle.hh.
  */
 
 #ifndef PDR_ARB_MATRIX_ARBITER_HH

@@ -21,16 +21,15 @@
  * per input port, one word over input ports per output port; the
  * parameter schema caps p and v at 64) and both stages iterate only the
  * set bits, so the cost scales with live requests rather than p * v.
- * The speculative kill pass is two mask intersections.  The previous
- * dense implementations are retained verbatim in scalar_oracle.hh as
- * the equivalence oracle: grants and priority evolution are
- * bit-identical (tests/arb/test_alloc_equiv.cc).
+ * The speculative kill pass is two mask intersections.  Grants and
+ * priority evolution must be bit-identical to the dense reference
+ * allocators in tests/arb/scalar_oracle.hh, which
+ * tests/arb/test_alloc_equiv.cc drives in lockstep.
  */
 
 #ifndef PDR_ARB_SWITCH_ALLOCATOR_HH
 #define PDR_ARB_SWITCH_ALLOCATOR_HH
 
-#include <memory>
 #include <vector>
 
 #include "arb/matrix_arbiter.hh"
@@ -55,15 +54,11 @@ struct SaGrant
     bool spec = false;
 };
 
-/**
- * Interface of the wormhole per-output-port arbiter, so the router can
- * swap the bitmask engine for the scalar oracle at runtime
- * (router.scalar_alloc; same grants either way).
- */
-class WormholeArbiterBase
+/** Per-output-port matrix arbitration for wormhole routers. */
+class WormholeSwitchArbiter
 {
   public:
-    virtual ~WormholeArbiterBase() = default;
+    explicit WormholeSwitchArbiter(int p);
 
     /**
      * Arbitrate head-flit requests for output ports.  Each input port
@@ -75,38 +70,11 @@ class WormholeArbiterBase
      * valid until the next allocate() call (one call per router per
      * cycle; returning by value showed up as malloc churn in profiles).
      */
-    virtual const std::vector<SaGrant> &
-    allocate(const std::vector<SaRequest> &requests) = 0;
-
-    /** Append all arbiter priority state (equivalence tests). */
-    virtual void dumpState(std::vector<std::uint8_t> &out) const = 0;
-};
-
-/** Interface of the per-flit switch allocators (separable and
- *  speculative), runtime-swappable against the scalar oracle. */
-class SwitchAllocatorBase
-{
-  public:
-    virtual ~SwitchAllocatorBase() = default;
-
-    /** One allocation round; reference valid until the next call. */
-    virtual const std::vector<SaGrant> &
-    allocate(const std::vector<SaRequest> &requests) = 0;
-
-    /** Append all arbiter priority state (equivalence tests). */
-    virtual void dumpState(std::vector<std::uint8_t> &out) const = 0;
-};
-
-/** Per-output-port matrix arbitration for wormhole routers. */
-class WormholeSwitchArbiter : public WormholeArbiterBase
-{
-  public:
-    explicit WormholeSwitchArbiter(int p);
-
     const std::vector<SaGrant> &
-    allocate(const std::vector<SaRequest> &requests) override;
+    allocate(const std::vector<SaRequest> &requests);
 
-    void dumpState(std::vector<std::uint8_t> &out) const override;
+    /** Append all arbiter priority state (equivalence tests). */
+    void dumpState(std::vector<std::uint8_t> &out) const;
 
   private:
     int p_;
@@ -117,7 +85,7 @@ class WormholeSwitchArbiter : public WormholeArbiterBase
 };
 
 /** Input-first separable allocator for (non-speculative) VC routers. */
-class SeparableSwitchAllocator : public SwitchAllocatorBase
+class SeparableSwitchAllocator
 {
   public:
     SeparableSwitchAllocator(int p, int v);
@@ -125,12 +93,14 @@ class SeparableSwitchAllocator : public SwitchAllocatorBase
     /**
      * Two-stage separable allocation.  At most one grant per input port
      * and per output port.  Arbiter priorities are updated only for
-     * requests that win both stages (the consumed grants).
+     * requests that win both stages (the consumed grants).  The
+     * reference is valid until the next allocate() call.
      */
     const std::vector<SaGrant> &
-    allocate(const std::vector<SaRequest> &requests) override;
+    allocate(const std::vector<SaRequest> &requests);
 
-    void dumpState(std::vector<std::uint8_t> &out) const override;
+    /** Append all arbiter priority state (equivalence tests). */
+    void dumpState(std::vector<std::uint8_t> &out) const;
 
     int numPorts() const { return p_; }
     int numVcs() const { return v_; }
@@ -153,7 +123,7 @@ class SeparableSwitchAllocator : public SwitchAllocatorBase
 };
 
 /** Parallel non-spec / spec allocation with non-spec priority. */
-class SpeculativeSwitchAllocator : public SwitchAllocatorBase
+class SpeculativeSwitchAllocator
 {
   public:
     SpeculativeSwitchAllocator(int p, int v);
@@ -163,12 +133,14 @@ class SpeculativeSwitchAllocator : public SwitchAllocatorBase
      * on input/output ports untouched by non-speculative winners.
      * Returned speculative grants carry spec = true; the router must
      * discard them if the parallel VA did not deliver an output VC (the
-     * crossbar slot is then simply wasted).
+     * crossbar slot is then simply wasted).  The reference is valid
+     * until the next allocate() call.
      */
     const std::vector<SaGrant> &
-    allocate(const std::vector<SaRequest> &requests) override;
+    allocate(const std::vector<SaRequest> &requests);
 
-    void dumpState(std::vector<std::uint8_t> &out) const override;
+    /** Append all arbiter priority state (equivalence tests). */
+    void dumpState(std::vector<std::uint8_t> &out) const;
 
   private:
     SeparableSwitchAllocator nonspec_;

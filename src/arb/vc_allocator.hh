@@ -16,10 +16,10 @@
  * per output port (bit i set = output VC i free); stage 1 is then a
  * rotated find-first-set over (vcMask & free word) instead of a
  * predicate-call scan, and stage 2 stages one packed (p*v)-wide bid row
- * per contested output VC.  The dense predicate-driven reference
- * implementation is retained verbatim as ScalarVcAllocator in
- * scalar_oracle.hh; grants and priority evolution are bit-identical
- * (tests/arb/test_alloc_equiv.cc).
+ * per contested output VC.  Grants and priority evolution must be
+ * bit-identical to the dense predicate-driven reference allocator in
+ * tests/arb/scalar_oracle.hh, which tests/arb/test_alloc_equiv.cc
+ * drives in lockstep.
  */
 
 #ifndef PDR_ARB_VC_ALLOCATOR_HH
@@ -52,12 +52,11 @@ struct VaGrant
     int outVc;
 };
 
-/** Interface of the VC allocator, runtime-swappable against the scalar
- *  oracle (router.scalar_alloc; same grants either way). */
-class VcAllocatorBase
+/** Separable VC allocator with an Rp-range routing function. */
+class VcAllocator
 {
   public:
-    virtual ~VcAllocatorBase() = default;
+    VcAllocator(int p, int v);
 
     /**
      * One allocation round.
@@ -70,24 +69,9 @@ class VcAllocatorBase
      *         reference points into allocator-owned scratch and is
      *         valid until the next allocate() call.
      */
-    virtual const std::vector<VaGrant> &
-    allocate(const std::vector<VaRequest> &requests,
-             const std::uint64_t *free_vcs) = 0;
-
-    /** Append all priority state: the stage-1 rotating pointers, then
-     *  each stage-2 matrix arbiter (equivalence tests). */
-    virtual void dumpState(std::vector<std::uint8_t> &out) const = 0;
-};
-
-/** Separable VC allocator with an Rp-range routing function. */
-class VcAllocator : public VcAllocatorBase
-{
-  public:
-    VcAllocator(int p, int v);
-
     const std::vector<VaGrant> &
     allocate(const std::vector<VaRequest> &requests,
-             const std::uint64_t *free_vcs) override;
+             const std::uint64_t *free_vcs);
 
     /** Predicate-driven convenience entry (tests): materializes the
      *  free-VC words from is_free and runs the packed path. */
@@ -95,7 +79,9 @@ class VcAllocator : public VcAllocatorBase
     allocate(const std::vector<VaRequest> &requests,
              const std::function<bool(int, int)> &is_free);
 
-    void dumpState(std::vector<std::uint8_t> &out) const override;
+    /** Append all priority state: the stage-1 rotating pointers, then
+     *  each stage-2 matrix arbiter (equivalence tests). */
+    void dumpState(std::vector<std::uint8_t> &out) const;
 
     int numPorts() const { return p_; }
     int numVcs() const { return v_; }

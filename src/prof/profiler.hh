@@ -10,7 +10,8 @@
  *  - mark(w, phase): worker `w` timestamps a phase transition into
  *    its own cache-line-aligned shard (two wall-clock reads per cycle
  *    on the serial path, four per worker on the parallel path -- only
- *    when a profiler is attached; bench_core records the A/B).
+ *    when a profiler is attached; pdr-bench's prof.overhead_pct
+ *    measures the cost).
  *  - per-router tick counts: the Network increments a plain counter
  *    whenever a router actually ticks.  Workers own disjoint router
  *    ranges, so the increments are unshared; the tick schedule is a

@@ -71,14 +71,6 @@ struct RouterConfig
      * without it.
      */
     bool specEqualPriority = false;
-    /**
-     * Run allocation on the retained dense scalar oracle
-     * (arb/scalar_oracle.hh) instead of the bitmask engine.  Grants
-     * are bit-identical either way (tests/arb/test_alloc_equiv.cc);
-     * the switch exists for same-run A/B benchmarking (bench_core) and
-     * whole-network equivalence checks.
-     */
-    bool scalarAlloc = false;
 
     /** Pipeline depth in cycles (per-hop router latency). */
     int pipelineDepth() const;
@@ -99,8 +91,7 @@ operator==(const RouterConfig &a, const RouterConfig &b)
            a.numPorts == b.numPorts && a.numVcs == b.numVcs &&
            a.bufDepth == b.bufDepth &&
            a.creditProcCycles == b.creditProcCycles &&
-           a.specEqualPriority == b.specEqualPriority &&
-           a.scalarAlloc == b.scalarAlloc;
+           a.specEqualPriority == b.specEqualPriority;
 }
 
 inline bool

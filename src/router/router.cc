@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "arb/scalar_oracle.hh"
 #include "common/logging.hh"
 
 namespace pdr::router {
@@ -32,42 +31,22 @@ Router::Router(sim::NodeId id, const RouterConfig &cfg,
     for (auto &ivc : invcs_)
         ivc.fifo.init(cfg_.bufDepth);
 
-    const bool scalar = cfg_.scalarAlloc;
-    auto make_sep = [&]() -> std::unique_ptr<arb::SwitchAllocatorBase> {
-        if (scalar)
-            return std::make_unique<arb::ScalarSeparableSwitchAllocator>(
-                p, v);
-        return std::make_unique<arb::SeparableSwitchAllocator>(p, v);
-    };
     switch (cfg_.model) {
       case RouterModel::Wormhole:
-        if (scalar)
-            whArb_ =
-                std::make_unique<arb::ScalarWormholeSwitchArbiter>(p);
-        else
-            whArb_ = std::make_unique<arb::WormholeSwitchArbiter>(p);
+        whArb_ = std::make_unique<arb::WormholeSwitchArbiter>(p);
         break;
       case RouterModel::VirtualChannel:
-        vcAlloc_ = scalar
-            ? std::unique_ptr<arb::VcAllocatorBase>(
-                  std::make_unique<arb::ScalarVcAllocator>(p, v))
-            : std::make_unique<arb::VcAllocator>(p, v);
-        saAlloc_ = make_sep();
+        vcAlloc_ = std::make_unique<arb::VcAllocator>(p, v);
+        saAlloc_ = std::make_unique<arb::SeparableSwitchAllocator>(p, v);
         break;
       case RouterModel::SpecVirtualChannel:
-        vcAlloc_ = scalar
-            ? std::unique_ptr<arb::VcAllocatorBase>(
-                  std::make_unique<arb::ScalarVcAllocator>(p, v))
-            : std::make_unique<arb::VcAllocator>(p, v);
+        vcAlloc_ = std::make_unique<arb::VcAllocator>(p, v);
         if (cfg_.singleCycle || cfg_.specEqualPriority) {
             // Unit-latency model (VA and SA complete in the same
             // cycle, no speculation needed) or the equal-priority
             // ablation: one separable allocator over all requests.
-            saAlloc_ = make_sep();
-        } else if (scalar) {
-            specAlloc_ =
-                std::make_unique<arb::ScalarSpeculativeSwitchAllocator>(
-                    p, v);
+            saAlloc_ =
+                std::make_unique<arb::SeparableSwitchAllocator>(p, v);
         } else {
             specAlloc_ =
                 std::make_unique<arb::SpeculativeSwitchAllocator>(p, v);
@@ -215,14 +194,6 @@ Router::portScore(int out_port) const
         return outCredits_[vidx(out_port, 0)];
     }
     int score = 0;
-    if (cfg_.scalarAlloc) {
-        // Pre-rework cost shape: test every VC of the port.
-        for (int vc = 0; vc < cfg_.numVcs; vc++) {
-            if ((outFree_[out_port] >> vc) & 1u)
-                score += outCredits_[vidx(out_port, vc)];
-        }
-        return score;
-    }
     std::uint64_t free = outFree_[out_port];
     while (free) {
         int vc = arb::ctz64(free);
@@ -335,19 +306,11 @@ void
 Router::vaPhase(sim::Cycle now)
 {
     const int v = cfg_.numVcs;
-    if (cfg_.scalarAlloc) {
-        // Pre-rework cost shape: sweep every VC's flag each tick.
-        const int nivc = cfg_.numPorts * v;
-        for (int vi = 0; vi < nivc; vi++)
-            invcs_[vi].vaGrantedNow = false;
-        vaGranted_.clear();
-    } else {
-        // vaGrantedNow only matters within the tick that granted it;
-        // clear exactly last tick's grantees instead of sweeping.
-        for (std::size_t vi : vaGranted_)
-            invcs_[vi].vaGrantedNow = false;
-        vaGranted_.clear();
-    }
+    // vaGrantedNow only matters within the tick that granted it; clear
+    // exactly last tick's grantees instead of sweeping.
+    for (std::size_t vi : vaGranted_)
+        invcs_[vi].vaGrantedNow = false;
+    vaGranted_.clear();
 
     vaReqs_.clear();
     saReqs_.clear();
@@ -375,18 +338,7 @@ Router::vaPhase(sim::Cycle now)
             stats_.specSaAttempts++;
         }
     };
-    if (cfg_.scalarAlloc) {
-        // Pre-rework cost shape (the A/B baseline): visit every input
-        // VC and test its state.  Same ascending order, same gates, so
-        // vaReqs_ is identical to the sparse walk's.
-        const int nivc = cfg_.numPorts * v;
-        for (int vi = 0; vi < nivc; vi++) {
-            if (invcs_[vi].state == VcState::RouteWait)
-                consider(vi);
-        }
-    } else {
-        arb::forEachSetBit(bidRouteWait_.data(), vcWords_, consider);
-    }
+    arb::forEachSetBit(bidRouteWait_.data(), vcWords_, consider);
 
     if (vaReqs_.empty())
         return;
@@ -450,22 +402,11 @@ Router::saPhaseWormhole(sim::Cycle now)
             }
         }
     };
-    if (cfg_.scalarAlloc) {
-        // Pre-rework cost shape: scan every port, gated on the same
-        // condition the bid bits encode.
-        for (int port = 0; port < cfg_.numPorts; port++) {
-            const auto &ivc = invc(port, 0);
-            if (ivc.state == VcState::RouteWait ||
-                (ivc.state == VcState::Active && !ivc.fifo.empty()))
-                considerPort(port);
-        }
-    } else {
-        std::uint64_t occupied = bidRouteWait_[0] | bidActive_[0];
-        while (occupied) {
-            int port = arb::ctz64(occupied);
-            occupied &= occupied - 1;
-            considerPort(port);
-        }
+    std::uint64_t occupied = bidRouteWait_[0] | bidActive_[0];
+    while (occupied) {
+        int port = arb::ctz64(occupied);
+        occupied &= occupied - 1;
+        considerPort(port);
     }
 
     if (saReqs_.empty())
@@ -503,18 +444,7 @@ Router::saPhaseVc(sim::Cycle now)
         closeStall(ivc, now);
         saReqs_.push_back({vi / v, vi % v, ivc.route, false});
     };
-    if (cfg_.scalarAlloc) {
-        // Pre-rework cost shape: visit every input VC and test its
-        // state; same ascending order and gates as the bid bits.
-        const int nivc = cfg_.numPorts * v;
-        for (int vi = 0; vi < nivc; vi++) {
-            const auto &ivc = invcs_[vi];
-            if (ivc.state == VcState::Active && !ivc.fifo.empty())
-                consider(vi);
-        }
-    } else {
-        arb::forEachSetBit(bidActive_.data(), vcWords_, consider);
-    }
+    arb::forEachSetBit(bidActive_.data(), vcWords_, consider);
 
     if (saReqs_.empty())
         return;
@@ -694,25 +624,13 @@ Router::nextWake(sim::Cycle now)
         }
         return false;
     };
-    if (cfg_.scalarAlloc) {
-        // Pre-rework cost shape: test every input VC's state.
-        const std::size_t nivc = std::size_t(cfg_.numPorts) * v;
-        for (std::size_t vi = 0; vi < nivc; vi++) {
-            const auto &ivc = invcs_[vi];
-            if (ivc.state == VcState::RouteWait ||
-                (ivc.state == VcState::Active && !ivc.fifo.empty()))
-                if (check(vi))
-                    return now + 1;
-        }
-    } else {
-        for (int w = 0; w < vcWords_; w++) {
-            std::uint64_t m = bidRouteWait_[w] | bidActive_[w];
-            while (m) {
-                int b = arb::ctz64(m);
-                m &= m - 1;
-                if (check(std::size_t(w) * 64 + b))
-                    return now + 1;
-            }
+    for (int w = 0; w < vcWords_; w++) {
+        std::uint64_t m = bidRouteWait_[w] | bidActive_[w];
+        while (m) {
+            int b = arb::ctz64(m);
+            m &= m - 1;
+            if (check(std::size_t(w) * 64 + b))
+                return now + 1;
         }
     }
 

@@ -428,13 +428,13 @@ class Router
      *  VCs pin the router awake; cached model predicate. */
     bool specBids_ = false;
 
-    // Allocators (constructed per model; the bitmask engine by
-    // default, the dense scalar oracle under cfg.scalarAlloc -- same
-    // grants either way).
-    std::unique_ptr<arb::WormholeArbiterBase> whArb_;
-    std::unique_ptr<arb::VcAllocatorBase> vcAlloc_;
-    std::unique_ptr<arb::SwitchAllocatorBase> saAlloc_;
-    std::unique_ptr<arb::SwitchAllocatorBase> specAlloc_;
+    // Allocators, constructed per model: whArb_ for wormhole; vcAlloc_
+    // plus either saAlloc_ (VC, unit-latency and equal-priority
+    // specVC) or specAlloc_ (pipelined specVC) otherwise.
+    std::unique_ptr<arb::WormholeSwitchArbiter> whArb_;
+    std::unique_ptr<arb::VcAllocator> vcAlloc_;
+    std::unique_ptr<arb::SeparableSwitchAllocator> saAlloc_;
+    std::unique_ptr<arb::SpeculativeSwitchAllocator> specAlloc_;
 
     // Per-tick scratch.
     std::vector<arb::VaRequest> vaReqs_;

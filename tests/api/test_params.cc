@@ -81,6 +81,10 @@ TEST(Params, UnknownKeyThrowsNamingKey)
                   "net.bogus");
     expectInvalid([&] { (void)params::get(cfg, "router.nope"); },
                   "router.nope");
+    // Retired: the router has one allocation engine.
+    expectInvalid(
+        [&] { params::set(cfg, "router.scalar_alloc", "true"); },
+        "router.scalar_alloc");
 }
 
 TEST(Params, InvalidValuesThrowNamingKey)

@@ -1,4 +1,4 @@
-#include "arb/scalar_oracle.hh"
+#include "scalar_oracle.hh"
 
 #include <algorithm>
 
@@ -36,13 +36,11 @@ int
 ScalarMatrixArbiter::arbitrate(const ReqRow &requests) const
 {
     pdr_assert(int(requests.size()) == size());
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle; the
-    // hot path uses MatrixArbiter::arbitrateMask
+    // The bitmask engine uses MatrixArbiter::arbitrateMask instead.
     for (int i = 0; i < size(); i++) {
         if (!requests[i])
             continue;
         bool wins = true;
-        // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle
         for (int j = 0; j < size() && wins; j++) {
             if (j != i && requests[j] && !beats(i, j))
                 wins = false;
@@ -60,7 +58,6 @@ ScalarMatrixArbiter::update(int winner)
         return;
     pdr_assert(winner >= 0 && winner < size());
     // Winner drops to lowest priority: every other j now beats winner.
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle
     for (int j = 0; j < size(); j++) {
         if (j == winner)
             continue;
@@ -74,9 +71,7 @@ ScalarMatrixArbiter::update(int winner)
 void
 ScalarMatrixArbiter::dumpState(std::vector<std::uint8_t> &out) const
 {
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) diagnostic serialization
     for (int i = 0; i < size(); i++) {
-        // pdr-lint: allow(PDR-PERF-DENSESCAN) diagnostic serialization
         for (int j = i + 1; j < size(); j++)
             out.push_back(beats(i, j) ? 1 : 0);
     }
@@ -100,8 +95,7 @@ ScalarWormholeSwitchArbiter::allocate(const std::vector<SaRequest> &requests)
 {
     grants_.clear();
     // One output port at a time: gather its requests and arbitrate.
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle; the
-    // bitmask engine stages per-output bid words instead
+    // The bitmask engine stages per-output bid words instead.
     for (int out = 0; out < p_; out++) {
         bool any = false;
         for (const auto &r : requests) {
@@ -171,12 +165,10 @@ ScalarSeparableSwitchAllocator::allocate(
         want_[idx] = r.outPort;
     }
 
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle; the
-    // bitmask engine iterates only bidding input ports
+    // The bitmask engine iterates only bidding input ports.
     for (int in = 0; in < p_; in++) {
         stage1Vc_[in] = NoGrant;
         bool any = false;
-        // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle
         for (int vc = 0; vc < v_; vc++) {
             vcRow_[vc] = inReq_[std::size_t(in) * v_ + vc];
             any = any || vcRow_[vc];
@@ -191,10 +183,8 @@ ScalarSeparableSwitchAllocator::allocate(
     }
 
     // Stage 2: per output port, a p:1 arbiter among forwarded winners.
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle
     for (int out = 0; out < p_; out++) {
         bool any = false;
-        // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle
         for (int in = 0; in < p_; in++) {
             portRow_[in] =
                 stage1Vc_[in] != NoGrant && stage1Out_[in] == out;
@@ -291,7 +281,6 @@ ScalarVcAllocator::ScalarVcAllocator(int p, int v) : p_(p), v_(v)
     int nivc = p * v;
     firstStagePtr_.assign(nivc, 0);
     outputVcArb_.reserve(nivc);
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) one-time construction
     for (int i = 0; i < nivc; i++)
         outputVcArb_.emplace_back(nivc);
     reqRow_.assign(nivc, false);
@@ -303,9 +292,8 @@ const std::vector<VaGrant> &
 ScalarVcAllocator::allocate(const std::vector<VaRequest> &requests,
                             const std::uint64_t *free_vcs)
 {
-    // Keep the original cost shape (per-candidate indirect predicate
-    // calls) so bench A/B against the bitmask engine measures the real
-    // pre-rework path.
+    // Keep the original per-candidate predicate calls so the lockstep
+    // tests compare against the real pre-rework algorithm.
     return allocate(requests, [free_vcs](int out_port, int out_vc) {
         return ((free_vcs[out_port] >> out_vc) & 1u) != 0;
     });
@@ -328,8 +316,7 @@ ScalarVcAllocator::allocate(const std::vector<VaRequest> &requests,
         pdr_assert(!seen_[ivc]);
         seen_[ivc] = true;
         int start = firstStagePtr_[ivc];
-        // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle;
-        // the bitmask engine uses a rotated find-first-set instead
+        // The bitmask engine uses a rotated find-first-set instead.
         for (int k = 0; k < v_; k++) {
             int ovc = (start + k) % v_;
             if (!((r.vcMask >> ovc) & 1u))
@@ -350,8 +337,7 @@ ScalarVcAllocator::allocate(const std::vector<VaRequest> &requests,
             continue;   // Already resolved this output VC.
         // Build the request row for this output VC.
         int nivc = p_ * v_;
-        // pdr-lint: allow(PDR-PERF-DENSESCAN) retained scalar oracle;
-        // the bitmask engine stages packed bid rows incrementally
+        // The bitmask engine stages packed bid rows incrementally.
         for (int ivc = 0; ivc < nivc; ivc++)
             reqRow_[ivc] = (pickOf_[ivc] == ovc_idx);
         int winner = outputVcArb_[ovc_idx].arbitrate(reqRow_);

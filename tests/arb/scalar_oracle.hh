@@ -1,21 +1,17 @@
 /**
  * @file
  * Scalar reference allocators: the dense byte-row implementations that
- * predate the bitmask engine, retained verbatim as the equivalence
- * oracle.
+ * predate the bitmask engine, kept verbatim as the equivalence oracle.
  *
- * Every class here implements the same interface as its bitmask
- * counterpart and must produce bit-identical grants and priority-state
- * evolution; tests/arb/test_alloc_equiv.cc drives both in lockstep over
- * seeded random request streams, and the router can be switched onto
- * this path wholesale with router.scalar_alloc (the bench_core A/B
- * scenarios and whole-network golden comparisons use that).  Nothing
- * here is on the default hot path, so the dense scans carry justified
- * PDR-PERF-DENSESCAN suppressions rather than a rewrite.
+ * Test-only code, built into the arb tests and not into libpdr.  Each
+ * class mirrors the public interface of its bitmask counterpart in
+ * src/arb/ and must produce bit-identical grants and priority-state
+ * evolution; tests/arb/test_alloc_equiv.cc drives both in lockstep
+ * over seeded random request streams.
  */
 
-#ifndef PDR_ARB_SCALAR_ORACLE_HH
-#define PDR_ARB_SCALAR_ORACLE_HH
+#ifndef PDR_TESTS_ARB_SCALAR_ORACLE_HH
+#define PDR_TESTS_ARB_SCALAR_ORACLE_HH
 
 #include <functional>
 #include <vector>
@@ -48,15 +44,15 @@ class ScalarMatrixArbiter : public Arbiter
 };
 
 /** Dense per-output-port arbitration for wormhole routers. */
-class ScalarWormholeSwitchArbiter : public WormholeArbiterBase
+class ScalarWormholeSwitchArbiter
 {
   public:
     explicit ScalarWormholeSwitchArbiter(int p);
 
     const std::vector<SaGrant> &
-    allocate(const std::vector<SaRequest> &requests) override;
+    allocate(const std::vector<SaRequest> &requests);
 
-    void dumpState(std::vector<std::uint8_t> &out) const override;
+    void dumpState(std::vector<std::uint8_t> &out) const;
 
   private:
     int p_;
@@ -66,15 +62,15 @@ class ScalarWormholeSwitchArbiter : public WormholeArbiterBase
 };
 
 /** Dense input-first separable switch allocator. */
-class ScalarSeparableSwitchAllocator : public SwitchAllocatorBase
+class ScalarSeparableSwitchAllocator
 {
   public:
     ScalarSeparableSwitchAllocator(int p, int v);
 
     const std::vector<SaGrant> &
-    allocate(const std::vector<SaRequest> &requests) override;
+    allocate(const std::vector<SaRequest> &requests);
 
-    void dumpState(std::vector<std::uint8_t> &out) const override;
+    void dumpState(std::vector<std::uint8_t> &out) const;
 
   private:
     int p_;
@@ -92,15 +88,15 @@ class ScalarSeparableSwitchAllocator : public SwitchAllocatorBase
 };
 
 /** Dense parallel non-spec / spec allocation with non-spec priority. */
-class ScalarSpeculativeSwitchAllocator : public SwitchAllocatorBase
+class ScalarSpeculativeSwitchAllocator
 {
   public:
     ScalarSpeculativeSwitchAllocator(int p, int v);
 
     const std::vector<SaGrant> &
-    allocate(const std::vector<SaRequest> &requests) override;
+    allocate(const std::vector<SaRequest> &requests);
 
-    void dumpState(std::vector<std::uint8_t> &out) const override;
+    void dumpState(std::vector<std::uint8_t> &out) const;
 
   private:
     ScalarSeparableSwitchAllocator nonspec_;
@@ -115,24 +111,24 @@ class ScalarSpeculativeSwitchAllocator : public SwitchAllocatorBase
 };
 
 /** Dense predicate-scanning separable VC allocator. */
-class ScalarVcAllocator : public VcAllocatorBase
+class ScalarVcAllocator
 {
   public:
     ScalarVcAllocator(int p, int v);
 
-    /** Packed-word entry of the common interface: wraps the words back
-     *  into a predicate so the retained algorithm (and its cost shape)
-     *  is exactly the pre-bitmask one. */
+    /** Packed-word entry matching VcAllocator::allocate: wraps the
+     *  words back into a predicate so the retained algorithm is exactly
+     *  the pre-bitmask one. */
     const std::vector<VaGrant> &
     allocate(const std::vector<VaRequest> &requests,
-             const std::uint64_t *free_vcs) override;
+             const std::uint64_t *free_vcs);
 
     /** The original predicate-driven algorithm, verbatim. */
     const std::vector<VaGrant> &
     allocate(const std::vector<VaRequest> &requests,
              const std::function<bool(int, int)> &is_free);
 
-    void dumpState(std::vector<std::uint8_t> &out) const override;
+    void dumpState(std::vector<std::uint8_t> &out) const;
 
   private:
     int p_;
@@ -151,4 +147,4 @@ class ScalarVcAllocator : public VcAllocatorBase
 
 } // namespace pdr::arb
 
-#endif // PDR_ARB_SCALAR_ORACLE_HH
+#endif // PDR_TESTS_ARB_SCALAR_ORACLE_HH

@@ -4,7 +4,7 @@
  *
  * The bitmask rework (arb/bitrow.hh layout) claims bit-identical grants
  * AND bit-identical priority-state evolution against the retained dense
- * implementations (arb/scalar_oracle.hh).  These tests drive each
+ * implementations (scalar_oracle.hh, test-only).  These tests drive each
  * bitmask/scalar pair in lockstep over seeded random request streams --
  * every round the grant vectors must match exactly (same grants, same
  * order), and the serialized priority state (rotating pointers + every
@@ -12,10 +12,11 @@
  * end, so a divergence in arbiter updates is caught even when it has
  * not yet produced a differing grant.
  *
- * An end-to-end layer runs whole simulations with router.scalar_alloc
- * on and off and requires identical results, covering the router's
- * sparse bid staging (bidRouteWait_/bidActive_/outFree_) on top of the
- * allocators themselves.
+ * An end-to-end layer runs whole audited simulations against pinned
+ * results, which both allocation engines reproduced when wired into the
+ * router.  The auditor's AUD-BID check compares the router's sparse bid
+ * staging (bidRouteWait_/bidActive_/outFree_) against a dense recompute
+ * every cycle.
  */
 
 #include <gtest/gtest.h>
@@ -26,10 +27,10 @@
 
 #include "api/simulation.hh"
 #include "arb/matrix_arbiter.hh"
-#include "arb/scalar_oracle.hh"
 #include "arb/switch_allocator.hh"
 #include "arb/vc_allocator.hh"
 #include "common/rng.hh"
+#include "scalar_oracle.hh"
 
 using namespace pdr;
 using namespace pdr::arb;
@@ -257,53 +258,81 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// End-to-end: whole simulations with router.scalar_alloc on/off.
+// End-to-end: whole audited simulations against pinned results.
 // ---------------------------------------------------------------------
 
 namespace {
 
-api::SimResults
-runModel(RouterModel model, int vcs, bool scalar)
+/** Router counters and measured results of one fixed-horizon run. */
+struct Pinned
+{
+    std::uint64_t flitsIn;
+    std::uint64_t flitsOut;
+    std::uint64_t headGrants;
+    std::uint64_t vaGrants;
+    std::uint64_t specSaAttempts;
+    std::uint64_t specSaWins;
+    std::uint64_t specSaUseful;
+    std::uint64_t creditStallCycles;
+    std::uint64_t bufOccupancy;
+    double avgLatency;
+    double acceptedFraction;
+};
+
+/**
+ * A 4x4 mesh at 0.3 of capacity for 4000 cycles with the per-cycle
+ * auditor on (AUD-WAKE, AUD-CREDIT, AUD-BID).  The 1000-cycle warm-up
+ * ends inside the horizon so latency and throughput are measured.
+ * The expected values were produced, bit for bit, by both the bitmask
+ * engine and the dense scalar allocators wired into the router.
+ */
+void
+expectPinned(RouterModel model, int vcs, const Pinned &want)
 {
     api::SimConfig cfg;
     cfg.net.k = 4;
     cfg.net.router.model = model;
     cfg.net.router.numVcs = vcs;
     cfg.net.router.bufDepth = 4;
-    cfg.net.router.scalarAlloc = scalar;
+    cfg.net.audit = true;
+    cfg.net.warmup = 1000;
     cfg.net.setOfferedFraction(0.3);
     cfg.mode = "fixed";
     cfg.horizon = 4000;
-    return api::runSimulation(cfg);
-}
-
-void
-expectSameResults(RouterModel model, int vcs)
-{
-    const auto bit = runModel(model, vcs, false);
-    const auto sca = runModel(model, vcs, true);
-    EXPECT_EQ(bit.cycles, sca.cycles);
-    EXPECT_DOUBLE_EQ(bit.avgLatency, sca.avgLatency);
-    EXPECT_DOUBLE_EQ(bit.acceptedFraction, sca.acceptedFraction);
-    EXPECT_EQ(bit.routers.flitsIn, sca.routers.flitsIn);
-    EXPECT_EQ(bit.routers.vaGrants, sca.routers.vaGrants);
-    EXPECT_EQ(bit.routers.specSaAttempts, sca.routers.specSaAttempts);
-    EXPECT_EQ(bit.routers.specSaUseful, sca.routers.specSaUseful);
+    const auto got = api::runSimulation(cfg);
+    EXPECT_EQ(got.cycles, 4000u);
+    EXPECT_EQ(got.routers.flitsIn, want.flitsIn);
+    EXPECT_EQ(got.routers.flitsOut, want.flitsOut);
+    EXPECT_EQ(got.routers.headGrants, want.headGrants);
+    EXPECT_EQ(got.routers.vaGrants, want.vaGrants);
+    EXPECT_EQ(got.routers.specSaAttempts, want.specSaAttempts);
+    EXPECT_EQ(got.routers.specSaWins, want.specSaWins);
+    EXPECT_EQ(got.routers.specSaUseful, want.specSaUseful);
+    EXPECT_EQ(got.routers.creditStallCycles, want.creditStallCycles);
+    EXPECT_EQ(got.routers.bufOccupancy, want.bufOccupancy);
+    EXPECT_DOUBLE_EQ(got.avgLatency, want.avgLatency);
+    EXPECT_DOUBLE_EQ(got.acceptedFraction, want.acceptedFraction);
 }
 
 } // namespace
 
 TEST(AllocEquivEndToEnd, Wormhole)
 {
-    expectSameResults(RouterModel::Wormhole, 1);
+    expectPinned(RouterModel::Wormhole, 1,
+                 {71045, 70989, 14207, 0, 0, 0, 0, 21277, 266243,
+                  38.526547176192089, 0.31008333333333332});
 }
 
 TEST(AllocEquivEndToEnd, VirtualChannel)
 {
-    expectSameResults(RouterModel::VirtualChannel, 4);
+    expectPinned(RouterModel::VirtualChannel, 4,
+                 {71186, 71123, 14237, 14241, 0, 0, 0, 5319, 241558,
+                  28.262588712402838, 0.31066666666666665});
 }
 
 TEST(AllocEquivEndToEnd, SpecVirtualChannel)
 {
-    expectSameResults(RouterModel::SpecVirtualChannel, 4);
+    expectPinned(RouterModel::SpecVirtualChannel, 4,
+                 {71222, 71176, 14249, 14249, 14430, 11511, 11468, 1463,
+                  182547, 24.943581081081081, 0.31079166666666669});
 }

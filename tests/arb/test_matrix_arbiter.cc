@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "arb/matrix_arbiter.hh"
-#include "arb/scalar_oracle.hh"
 #include "common/rng.hh"
+#include "scalar_oracle.hh"
 
 using namespace pdr;
 using namespace pdr::arb;

@@ -339,8 +339,8 @@ RULES = [
          pattern=DENSESCAN_RE,
          message="dense structure/scan on the allocation path: stage "
                  "requests as packed bid words and walk set bits "
-                 "(ctz), or justify (scalar oracle, one-time ctor, "
-                 "diagnostics)"),
+                 "(ctz), or justify (one-time ctor, diagnostics, "
+                 "compat or ablation code off the router hot path)"),
     Rule("PDR-WAKE-NEXT",
          "component with tick() but no nextWake(): unschedulable under "
          "the wake-table scheduler (invariant 1)",
