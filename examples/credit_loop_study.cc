@@ -37,9 +37,9 @@ main(int argc, char **argv)
     std::printf("\n");
 
     // One cell per (buffers x credit-latency) pair; findSaturation
-    // itself evaluates its whole bracketing grid in parallel on the
-    // sweep engine (PDR_THREADS controls the width), so the cells run
-    // back to back.
+    // itself runs each round's candidate loads on a PDR_THREADS-wide
+    // pool, lowest first, skipping any that would start after a lower
+    // one failed, so the cells run back to back.
     std::vector<api::SimConfig> grid;
     for (int buf : bufs) {
         for (auto cp : cps) {

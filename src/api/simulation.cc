@@ -1,5 +1,7 @@
 #include "api/simulation.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -7,6 +9,7 @@
 
 #include "common/logging.hh"
 #include "exec/sweep.hh"
+#include "exec/thread_pool.hh"
 #include "par/stepper.hh"
 #include "prof/profiler.hh"
 #include "telem/telemetry.hh"
@@ -234,71 +237,74 @@ double
 findSaturation(SimConfig cfg, double latency_limit, double tolerance)
 {
     pdr_assert(tolerance > 0.0);
+    if (cfg.net.samplePackets == 0) {
+        throw std::invalid_argument("findSaturation: sim.sample_packets "
+                                    "= 0 leaves the zero-load probe "
+                                    "without a latency sample");
+    }
+
+    // One pool runs every probe of the search, the zero-load one too.
+    // With one pool thread, every network is built and freed on that
+    // thread and reuses its malloc arena, which keeps peak RSS flat
+    // over back-to-back searches (docs/ARCHITECTURE.md).
+    exec::ThreadPool pool;
 
     // Zero-load latency reference at 2 % load.  It is also the lowest
     // candidate, so it answers the first bracket check itself.
     cfg.net.setOfferedFraction(0.02);
-    SimResults zr = runSimulation(cfg);
-    double zero_load = zr.avgLatency;
-    pdr_assert(zero_load > 0.0);
-    const double limit = latency_limit * zero_load;
+    SimResults zr;
+    pool.submit([&] { zr = runSimulation(cfg); });
+    pool.wait();
+    const double limit = latency_limit * zr.avgLatency;
     if (!(zr.drained && zr.avgLatency <= limit))
         return 0.0;
 
-    // Evaluate a whole batch of candidate loads in one parallel sweep.
-    // Each point keeps cfg's own seed, so a load evaluates to exactly
-    // what a serial probe at that load would have measured, and the
-    // fixed candidate grid makes the estimate independent of the
-    // thread count.  A probe stops early once its latency-sum lower
-    // bound proves the mean will exceed the limit; it then reports
-    // undrained, which fails the test exactly as the full run would
-    // have (docs/ARCHITECTURE.md, "Saturation search").
-    auto probe = [limit](const SimConfig &c) { return simulate(c, limit); };
-    auto eval_ok = [&](const std::vector<double> &loads) {
-        std::vector<exec::SweepPoint> points;
-        points.reserve(loads.size());
-        for (double f : loads) {
-            auto c = cfg;
-            c.net.setOfferedFraction(f);
-            points.push_back({csprintf("%.4f", f), c});
-        }
-        exec::SweepOptions opts;
-        opts.deriveSeeds = false;
-        auto sweep = exec::SweepRunner(opts).run(points, probe);
-        sweep.throwIfFailed();
-        std::vector<bool> ok(points.size());
-        for (std::size_t i = 0; i < sweep.points.size(); i++) {
-            const auto &r = sweep.points[i].res;
-            ok[i] = r.drained && r.avgLatency <= limit;
-        }
-        return ok;
-    };
-
-    double lo = 0.02, hi = 1.0;
+    // A node injects at most one flit per cycle, which caps the
+    // offered fraction of a topology whose capacity exceeds 1.
+    double lo = 0.02, hi = std::min(1.0, 1.0 / cfg.net.capacity());
 
     // Bracketing grid search: each round splits [lo, hi] into
-    // `fanout` + 1 intervals and evaluates all interior candidates at
-    // once, narrowing to the interval around the knee (assuming the
-    // same monotone response bisection assumes).
+    // `fanout` + 1 intervals and narrows to the interval around the
+    // first failing candidate (assuming the same monotone response
+    // bisection assumes).  Only that failure is read, so candidates
+    // are submitted in ascending load order and one that starts after
+    // a lower candidate failed returns without simulating.  Every
+    // candidate below the first failure passes and so always runs, and
+    // the failure itself always runs: `first_fail` ends at the same
+    // index for any pool size or schedule.  Each probe keeps cfg's own
+    // seed, and stops early once its latency-sum lower bound proves
+    // the mean will exceed the limit; it then reports undrained, which
+    // fails the test exactly as the full run would have
+    // (docs/ARCHITECTURE.md, "Saturation search").
     constexpr int fanout = 7;
     while (hi - lo > tolerance) {
-        std::vector<double> grid;
-        grid.reserve(fanout);
-        for (int i = 1; i <= fanout; i++)
-            grid.push_back(lo + (hi - lo) * i / (fanout + 1));
-        auto ok = eval_ok(grid);
+        double grid[fanout] = {};
+        for (int i = 0; i < fanout; i++)
+            grid[i] = lo + (hi - lo) * (i + 1) / (fanout + 1);
 
-        double new_lo = lo, new_hi = hi;
+        std::atomic<int> first_fail{fanout};
         for (int i = 0; i < fanout; i++) {
-            if (ok[i]) {
-                new_lo = grid[i];
-            } else {
-                new_hi = grid[i];
-                break;
-            }
+            pool.submit([&, i] {
+                if (first_fail.load() < i)
+                    return;     // A lower candidate already failed.
+                auto c = cfg;
+                c.net.setOfferedFraction(grid[i]);
+                SimResults r = simulate(c, limit);
+                if (r.drained && r.avgLatency <= limit)
+                    return;
+                // Lower first_fail to i unless a lower failure is in.
+                int f = first_fail.load();
+                while (i < f && !first_fail.compare_exchange_weak(f, i)) {
+                }
+            });
         }
-        lo = new_lo;
-        hi = new_hi;
+        pool.wait();
+
+        const int f = first_fail.load();
+        if (f > 0)
+            lo = grid[f - 1];
+        if (f < fanout)
+            hi = grid[f];
     }
     return lo;
 }

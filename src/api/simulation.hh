@@ -151,19 +151,27 @@ exec::SweepResults runSweep(const std::vector<exec::SweepPoint> &points,
  * load that still drains with average latency below `latency_limit`
  * times the zero-load latency.
  *
- * The zero-load probe (2 % load) also decides the lower bracket end.
- * The bracket is then narrowed by evaluating a whole candidate grid per
- * round through the sweep engine (parallel across PDR_THREADS), rather
- * than one serial bisection probe at a time.  The candidate grid is
- * fixed, so the estimate is independent of the thread count and stays
- * within `tolerance` of what serial bisection returns.
+ * The zero-load probe (2 % load) also decides the lower bracket end;
+ * the upper one starts at min(1, 1 / capacity), the most a node can
+ * inject.  Each round then splits the bracket with seven evenly spaced
+ * candidate loads and narrows it to the interval around the first
+ * one that fails.  All probes, the zero-load one included, run on one
+ * exec::ThreadPool (PDR_THREADS wide): candidates are submitted lowest
+ * load first, and one that starts after a lower candidate failed
+ * returns without simulating.  The candidates below the first failure
+ * pass and the failure itself always runs, so the estimate is
+ * independent of the thread count and schedule, and stays within
+ * `tolerance` of what serial bisection returns.
  *
  * A candidate probe stops early once a lower bound on its sample's
  * latency sum proves the mean will exceed the limit
  * (MeasureController::latencySumLowerBound); it then fails exactly as
  * the full run would, so the estimate is bit-identical to running
- * every probe to completion (docs/ARCHITECTURE.md, "Saturation
- * search").  runSimulation() itself never stops early.
+ * every probe it reads to completion (docs/ARCHITECTURE.md,
+ * "Saturation search").  runSimulation() itself never stops early.
+ *
+ * Returns 0 when the zero-load probe does not drain; throws
+ * std::invalid_argument when sim.sample_packets is 0.
  */
 double findSaturation(SimConfig cfg, double latency_limit = 4.0,
                       double tolerance = 0.01);

@@ -128,23 +128,20 @@ SweepRunner::run(const std::vector<SweepPoint> &points,
     // above by input index, and every slot is written in input order,
     // so scheduling cannot change any per-point result.
     std::vector<std::size_t> order(points.size());
-    for (std::size_t i = 0; i < order.size(); i++)
+    std::vector<double> weight(points.size(), 0.0);
+    for (std::size_t i = 0; i < points.size(); i++) {
         order[i] = i;
-    if (opts_.heaviestFirst) {
-        std::vector<double> weight(points.size(), 0.0);
-        for (std::size_t i = 0; i < points.size(); i++) {
-            try {
-                weight[i] = points[i].cfg.net.offeredFraction();
-            } catch (...) {
-                // Invalid config: weight 0; the point itself will be
-                // recorded as failed when it runs.
-            }
+        try {
+            weight[i] = points[i].cfg.net.offeredFraction();
+        } catch (...) {
+            // Invalid config: weight 0; the point itself will be
+            // recorded as failed when it runs.
         }
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return weight[a] > weight[b];
-                         });
     }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return weight[a] > weight[b];
+                     });
 
     // Progress state shared by the pool workers: the mutex serializes
     // onPointDone calls, so user callbacks (a CLI progress line) need

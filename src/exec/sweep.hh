@@ -109,14 +109,6 @@ struct SweepOptions
      */
     bool deriveSeeds = true;
     /**
-     * Submit the heaviest points (highest offered fraction) first.
-     * Saturated points run much longer than low-load points, so
-     * starting them early tightens the sweep's critical path.  Pure
-     * scheduling: per-point seeds and results are bit-identical either
-     * way, and results always come back in input order.
-     */
-    bool heaviestFirst = true;
-    /**
      * Progress hook, called after each point completes with (done,
      * total, pointWallMs).  Calls are serialized under an internal
      * mutex but arrive from pool worker threads in completion order
@@ -128,7 +120,12 @@ struct SweepOptions
         onPointDone;
 };
 
-/** Fans sweep points across a fixed thread pool. */
+/**
+ * Fans sweep points across a fixed thread pool, heaviest (highest
+ * offered fraction) first: saturated points run much longer than
+ * low-load ones, so starting them early shortens the sweep's critical
+ * path.  Pure scheduling -- results come back in input order.
+ */
 class SweepRunner
 {
   public:

@@ -2,13 +2,16 @@
  * @file
  * Saturation search: the sample's latency-sum lower bound that lets a
  * failing findSaturation() probe stop early, and the exactness of that
- * early exit -- the estimate equals a search that runs every probe to
- * completion, at any sweep-thread and network-worker count.
+ * early exit, and of skipping the candidates above a round's first
+ * failure -- the estimate equals a search that runs every probe it
+ * reads to completion, at any sweep-thread and network-worker count.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,42 +70,57 @@ traceBound(const net::NetworkConfig &cfg, int workers, sim::Cycle cap)
     return t;
 }
 
-/** findSaturation()'s bracketing search with every probe run to
- *  completion through the public runSimulation(). */
-double
-fullProbeSearch(api::SimConfig cfg, double latency_limit, double tolerance,
-                int *latency_failures)
+/** A full-probe search's estimate and what its rounds exercised. */
+struct SearchTrace
 {
+    double estimate = 0.0;
+    int latencyFailures = 0;    //!< Drained probes failed on latency.
+    int lowestFailed = 0;       //!< Rounds whose first candidate failed.
+    int noneFailed = 0;         //!< Rounds in which every candidate passed.
+};
+
+/** findSaturation()'s bracketing search, reading each round's grid up
+ *  to its first failure, with every probe run to completion through
+ *  the public runSimulation(). */
+SearchTrace
+fullProbeSearch(api::SimConfig cfg, double latency_limit, double tolerance)
+{
+    SearchTrace t;
     cfg.net.setOfferedFraction(0.02);
     auto zr = api::runSimulation(cfg);
     const double limit = latency_limit * zr.avgLatency;
     if (!(zr.drained && zr.avgLatency <= limit))
-        return 0.0;
+        return t;
     auto ok = [&](double f) {
         auto c = cfg;
         c.net.setOfferedFraction(f);
         auto r = api::runSimulation(c);
         if (r.drained && r.avgLatency > limit)
-            ++*latency_failures;
+            t.latencyFailures++;
         return r.drained && r.avgLatency <= limit;
     };
 
     constexpr int fanout = 7;
-    double lo = 0.02, hi = 1.0;
+    double lo = 0.02, hi = std::min(1.0, 1.0 / cfg.net.capacity());
     while (hi - lo > tolerance) {
         double new_lo = lo, new_hi = hi;
+        int first_fail = fanout;
         for (int i = 1; i <= fanout; i++) {
             double f = lo + (hi - lo) * i / (fanout + 1);
             if (!ok(f)) {
                 new_hi = f;
+                first_fail = i - 1;
                 break;
             }
             new_lo = f;
         }
+        t.lowestFailed += first_fail == 0;
+        t.noneFailed += first_fail == fanout;
         lo = new_lo;
         hi = new_hi;
     }
-    return lo;
+    t.estimate = lo;
+    return t;
 }
 
 } // namespace
@@ -150,30 +168,82 @@ TEST(Saturation, LatencyBoundIsMonotoneAndExactAtDrain)
 
 TEST(Saturation, EarlyExitEstimateEqualsFullProbeSearch)
 {
-    const auto cfg = tinyConfig();
-    const double limit = 4.0, tol = 0.02;
+    struct Case
+    {
+        const char *name;
+        api::SimConfig cfg;
+        double limit;
+    };
+    auto torus = tinyConfig();
+    torus.net.topology = "torus";
+    // A torus's capacity exceeds 1 flit/node/cycle, so the injection
+    // cap binds: the search starts at hi = 1 / capacity.
+    ASSERT_GT(torus.net.capacity(), 1.0);
+    const Case cases[] = {
+        {"4x4 mesh, limit 4", tinyConfig(), 4.0},
+        {"4x4 mesh, limit 20", tinyConfig(), 20.0},
+        {"4x4 torus, limit 1000", torus, 1000.0},
+    };
+    const double tol = 0.02;
 
-    int latency_failures = 0;
-    double ref = fullProbeSearch(cfg, limit, tol, &latency_failures);
-    ASSERT_GT(ref, 0.2);
+    std::vector<double> refs;
+    SearchTrace seen;
+    for (const auto &tc : cases) {
+        SCOPED_TRACE(tc.name);
+        auto ref = fullProbeSearch(tc.cfg, tc.limit, tol);
+        ASSERT_GT(ref.estimate, 0.2);
+        refs.push_back(ref.estimate);
+        seen.latencyFailures += ref.latencyFailures;
+        seen.lowestFailed += ref.lowestFailed;
+        seen.noneFailed += ref.noneFailed;
+    }
     // Some probe drained and failed on latency alone, which is where
     // the early exit has to reproduce the full run's verdict.
-    EXPECT_GT(latency_failures, 0);
+    EXPECT_GT(seen.latencyFailures, 0);
+    // Both edges of a round's bracket update: the first candidate
+    // fails (the bracket keeps lo), and none fails (it keeps hi).
+    EXPECT_GT(seen.lowestFailed, 0);
+    EXPECT_GT(seen.noneFailed, 0);
 
     const char *env = std::getenv("PDR_THREADS");
     const std::string saved = env ? env : "";
-    for (const char *threads : {"1", "4"}) {
+    for (const char *threads : {"1", "2", "4"}) {
         setenv("PDR_THREADS", threads, 1);
-        for (int workers : {1, 4}) {
-            SCOPED_TRACE(std::string("PDR_THREADS = ") + threads +
-                         ", par.workers = " + std::to_string(workers));
-            auto c = cfg;
-            c.parWorkers = workers;
-            EXPECT_EQ(api::findSaturation(c, limit, tol), ref);
+        for (std::size_t k = 0; k < refs.size(); k++) {
+            for (int workers : {1, 4}) {
+                SCOPED_TRACE(std::string(cases[k].name) +
+                             ", PDR_THREADS = " + threads +
+                             ", par.workers = " + std::to_string(workers));
+                auto c = cases[k].cfg;
+                c.parWorkers = workers;
+                EXPECT_EQ(api::findSaturation(c, cases[k].limit, tol),
+                          refs[k]);
+            }
         }
     }
     if (env)
         setenv("PDR_THREADS", saved.c_str(), 1);
     else
         unsetenv("PDR_THREADS");
+}
+
+TEST(Saturation, UndrainedZeroLoadProbeGivesZero)
+{
+    auto cfg = tinyConfig();
+    cfg.maxCycles = cfg.net.warmup / 2;     // No sample cycle runs.
+    EXPECT_EQ(api::findSaturation(cfg), 0.0);
+}
+
+TEST(Saturation, EmptySampleIsANamedError)
+{
+    auto cfg = tinyConfig();
+    cfg.net.samplePackets = 0;
+    try {
+        api::findSaturation(cfg);
+        FAIL() << "an empty sample must throw";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("sim.sample_packets"),
+                  std::string::npos)
+            << e.what();
+    }
 }

@@ -274,14 +274,3 @@ TEST(SweepRunner, HeaviestFirstSubmitsByDescendingLoad)
         EXPECT_LT(res.points[i - 1].cfg.net.offeredFraction(),
                   res.points[i].cfg.net.offeredFraction());
 }
-
-TEST(SweepRunner, SchedulingDoesNotChangeResults)
-{
-    auto points = tinyGrid();
-    SweepOptions first, fifo;
-    first.heaviestFirst = true;
-    fifo.heaviestFirst = false;
-    auto ra = SweepRunner(first).run(points);
-    auto rb = SweepRunner(fifo).run(points);
-    expectIdentical(ra, rb);
-}
