@@ -241,13 +241,14 @@ defs()
                           "a non-negative cycle count");
              c.net.burstOff = b;
          }},
-        {"traffic.packet_length", "flits per packet (>= 1)",
+        {"traffic.packet_length", "flits per packet (1..256)",
          [](const SimConfig &c) {
              return std::to_string(c.net.packetLength);
          },
          [](SimConfig &c, const std::string &v) {
              c.net.packetLength =
-                 int(parseInt("traffic.packet_length", v, 1, 1 << 20));
+                 int(parseInt("traffic.packet_length", v, 1,
+                              sim::MaxPacketLength));
          }},
         {"router.model", "router microarchitecture: WH, VC or specVC",
          [](const SimConfig &c) {

@@ -70,10 +70,11 @@ NetworkConfig::validateWith(const Lattice &lat,
             "traffic.injection_rate %.3f out of [0, 1] "
             "flits/node/cycle", injectionRate));
     }
-    if (packetLength < 1) {
+    if (packetLength < 1 || packetLength > sim::MaxPacketLength) {
         throw std::invalid_argument(csprintf(
-            "traffic.packet_length must be >= 1, got %d",
-            packetLength));
+            "traffic.packet_length must be in [1, %d] (flits are "
+            "numbered by a one-byte seq), got %d",
+            sim::MaxPacketLength, packetLength));
     }
     if ((burstOn > 0.0) != (burstOff > 0.0)) {
         throw std::invalid_argument(

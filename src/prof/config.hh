@@ -15,7 +15,8 @@
  *  - per-router *tick weight* (cycles-ticked counts), which depends
  *    only on the wake-table schedule and is therefore deterministic
  *    and byte-identical across worker counts -- the online load
- *    signal an adaptive repartitioner consumes (ROADMAP item 3).
+ *    signal an adaptive repartitioner consumes (ROADMAP.md,
+ *    adaptive repartitioning).
  */
 
 #ifndef PDR_PROF_CONFIG_HH

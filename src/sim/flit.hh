@@ -39,6 +39,9 @@ inline bool isTail(FlitType t)
     return t == FlitType::Tail || t == FlitType::HeadTail;
 }
 
+/** Longest packet Flit::seq can number (traffic.packet_length cap). */
+constexpr int MaxPacketLength = 256;
+
 /** One flow-control digit. */
 struct Flit
 {

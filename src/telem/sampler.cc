@@ -119,7 +119,8 @@ StreamSampler::emitHeatmap(sim::Cycle end)
 {
     // One row per router with its end-of-run counter totals and
     // lattice coordinates: exactly the per-router load map an
-    // adaptive repartitioner consumes (ROADMAP item 3).
+    // adaptive repartitioner consumes (ROADMAP.md, adaptive
+    // repartitioning).
     const auto &cat = counterCatalog();
     const auto &lat = net_.lattice();
     for (std::size_t r = 0; r < prevSnap_.numRouters(); r++) {

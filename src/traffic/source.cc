@@ -47,7 +47,10 @@ void
 Source::tick(sim::Cycle now)
 {
     applyCredits(now);
-    catchUp(now);
+    // Once the sample quota is full no draw touches shared state, so
+    // inject() draws arrivals on demand instead of queueing them all.
+    if (!ctrl_.quotaFull())
+        catchUp(now);
     inject(now);
 }
 
@@ -56,16 +59,16 @@ Source::catchUp(sim::Cycle now)
 {
     // Generation order across cycles matters (each cycle's draws come
     // off one RNG stream in sequence); order against credit handling
-    // does not (generate() never reads credits), so skipped cycles
-    // replay exactly.
+    // does not (draw() never reads credits), so skipped cycles replay
+    // exactly.
     if (cfg_.packetRate <= 0.0) {
         nextGen_ = now + 1;     // A zero-rate cycle draws nothing.
         return;
     }
-    while (nextGen_ <= now) {
-        generate(nextGen_);
-        nextGen_++;
-    }
+    PendingPacket p;
+    while (nextGen_ <= now)
+        if (draw(nextGen_++, p))
+            queue_.push_back(p);
 }
 
 sim::Cycle
@@ -122,55 +125,72 @@ Source::applyCredits(sim::Cycle now)
     }
 }
 
-void
-Source::generate(sim::Cycle now)
+bool
+Source::draw(sim::Cycle now, PendingPacket &p)
 {
     if (cfg_.packetRate <= 0.0)
-        return;
+        return false;
     if (cfg_.burstOn > 0.0) {
         // Two-state MMPP: one transition draw per cycle (geometric
         // dwell times), then a Bernoulli arrival draw only while ON.
-        // Every cycle is drawn exactly once -- immediately while the
-        // source is awake, replayed by catchUp() after a sleep -- so
-        // this stream is identical under the skipping and
-        // tick-everything schedules.
+        // Every cycle is drawn exactly once and in cycle order --
+        // immediately, replayed by catchUp() after a sleep, or on
+        // demand by pull() -- so this stream is identical under every
+        // schedule.
         double leave =
             1.0 / (burstState_ ? cfg_.burstOn : cfg_.burstOff);
         if (rng_.bernoulli(leave))
             burstState_ = !burstState_;
         if (!burstState_ || !rng_.bernoulli(onRate_))
-            return;
+            return false;
     } else if (!rng_.bernoulli(cfg_.packetRate)) {
-        return;
+        return false;
     }
-    PendingPacket p;
     p.id = nextId_++;
     p.dest = pattern_.pick(node_, rng_);
     pdr_assert(p.dest != node_);
-    if (cfg_.routing) {
-        // Deterministic routings draw nothing here, keeping the RNG
-        // stream identical to the historical behavior.
-        p.routing = cfg_.routing->initPacket(node_, p.dest, rng_);
-    }
+    // Deterministic routings draw nothing here, keeping the RNG stream
+    // identical to the historical behavior.
+    p.routing = cfg_.routing
+                    ? cfg_.routing->initPacket(node_, p.dest, rng_)
+                    : router::PacketInit{};
     p.ctime = now;
     p.measured = ctrl_.tryTag(now);
-    queue_.push_back(p);
     created_++;
+    return true;
+}
+
+bool
+Source::pull(sim::Cycle now, PendingPacket &p)
+{
+    if (!queue_.empty()) {
+        p = queue_.front();
+        queue_.pop_front();
+        return true;
+    }
+    // Empty queue: draw the next arrival created by `now`, if any.
+    // While tick() still queues eagerly nextGen_ is already past now.
+    while (nextGen_ <= now)
+        if (draw(nextGen_++, p))
+            return true;
+    return false;
 }
 
 void
 Source::inject(sim::Cycle now)
 {
-    // Assign queued packets to idle injection VCs (round-robin).
-    for (int k = 0; k < cfg_.numVcs && !queue_.empty(); k++) {
+    // Assign packets to idle injection VCs (round-robin), in creation
+    // order: queued ones first, then on-demand draws (see pull).
+    for (int k = 0; k < cfg_.numVcs; k++) {
         int vc = (rrAssign_ + k) % cfg_.numVcs;
-        if (!streams_[vc].busy) {
-            streams_[vc].busy = true;
-            streams_[vc].pkt = queue_.front();
-            streams_[vc].nextSeq = 0;
-            queue_.pop_front();
-            rrAssign_ = (vc + 1) % cfg_.numVcs;
-        }
+        auto &s = streams_[vc];
+        if (s.busy)
+            continue;
+        if (!pull(now, s.pkt))
+            break;
+        s.busy = true;
+        s.nextSeq = 0;
+        rrAssign_ = (vc + 1) % cfg_.numVcs;
     }
 
     // Send at most one flit this cycle, round-robin over the active

@@ -4,7 +4,12 @@
  *
  * Each node has a source that creates fixed-length packets by a
  * Bernoulli process at the configured rate and queues them (the source
- * queue is unbounded; source queueing time counts toward latency).  The
+ * queue is unbounded; source queueing time counts toward latency).
+ * Once the sample quota is full, arrivals are drawn on demand instead:
+ * only when an injection VC is idle, and only those created by the
+ * current cycle, so a saturated source holds at most one packet per VC
+ * beyond what it queued earlier.  The packets, their order and their
+ * creation times are exactly those of the queued process.  The
  * source streams packets into the router's injection port flit by flit,
  * respecting credit-based flow control exactly like an upstream router:
  * it tracks per-VC credits for the injection input buffers and may
@@ -74,14 +79,14 @@ class Source
 
     /**
      * Replay the per-cycle arrival draws for every cycle in
-     * [nextGen, now] that a sleeping source skipped.  The RNG is
-     * private, draws are a fixed function of the cycle index, and the
-     * only cross-source call -- MeasureController::tryTag -- is
-     * mutation-free over any span the source is allowed to sleep
-     * through (pre-warmup or quota-full), so replaying late yields the
-     * exact queue, stream and RNG state of per-cycle ticking.  tick()
-     * calls this; Network::quiescent() also calls it so backlog()
-     * reads match the tick-everything schedule mid-sleep.
+     * [nextGen, now] that have not run yet, queueing each arrival.
+     * The RNG is private, draws are a fixed function of the cycle
+     * index, and the only cross-source call -- MeasureController::
+     * tryTag -- is mutation-free over any span a draw is allowed to
+     * lag (pre-warmup or quota-full), so drawing late yields the exact
+     * packets and RNG state of per-cycle ticking.  tick() calls this
+     * until the sample quota fills and draws on demand after that;
+     * Network::quiescent() calls it so backlog() counts every arrival.
      */
     void catchUp(sim::Cycle now);
 
@@ -90,19 +95,22 @@ class Source
      * tagging-sensitive span (post-warmup until the sample quota
      * fills) a nonzero-rate source ticks every cycle: packet creation
      * consumes the shared sample quota in serial node order.  Outside
-     * that span the Bernoulli draws are replayed lazily (catchUp), so
-     * the source sleeps whenever injection is impossible -- no credits
-     * on any VC -- until a credit matures or the warmup boundary
-     * arrives.  Idle zero-rate sources sleep until a credit arrives
-     * (CycleNever when none is in flight).
+     * that span the arrival draws run late (catchUp, or on demand once
+     * the quota is full), so the source sleeps whenever injection is
+     * impossible -- no credits on any VC -- until a credit matures or
+     * the warmup boundary arrives.  Idle zero-rate sources sleep until
+     * a credit arrives (CycleNever when none is in flight).
      */
     sim::Cycle nextWake(sim::Cycle now) const;
 
-    /** Packets created so far. */
+    /** Packets drawn so far.  Arrivals not drawn yet (a sleeping
+     *  source, or one past its sample quota) are not counted until
+     *  catchUp() draws them. */
     std::uint64_t created() const { return created_; }
     /** Flits sent so far. */
     std::uint64_t flitsSent() const { return flitsSent_; }
-    /** Packets waiting or streaming. */
+    /** Drawn packets waiting or streaming; call catchUp() first to
+     *  count every arrival created so far. */
     std::size_t backlog() const { return queue_.size() + active(); }
     /** Streams currently active. */
     int active() const;
@@ -148,11 +156,16 @@ class Source
     };
 
     void applyCredits(sim::Cycle now);
-    void generate(sim::Cycle now);
+    /** Run cycle `now`'s arrival draws; true (and `p` filled) if a
+     *  packet was created. */
+    bool draw(sim::Cycle now, PendingPacket &p);
+    /** The next packet to inject by `now`: the queue head, else the
+     *  next arrival drawn on demand; false if none. */
+    bool pull(sim::Cycle now, PendingPacket &p);
     void inject(sim::Cycle now);
 
     /** First cycle whose arrival draw has not run yet (lazy
-     *  generation; see catchUp). */
+     *  generation; see catchUp and pull). */
     sim::Cycle nextGen_ = 0;
 
     sim::NodeId node_;

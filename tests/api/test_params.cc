@@ -115,6 +115,10 @@ TEST(Params, InvalidValuesThrowNamingKey)
     expectInvalid(
         [&] { params::set(cfg, "traffic.pattern", "zigzag"); },
         "zigzag");
+    // Flit::seq numbers at most 256 flits.
+    expectInvalid(
+        [&] { params::set(cfg, "traffic.packet_length", "257"); },
+        "traffic.packet_length");
 }
 
 TEST(Params, DumpParseRoundTripsBuiltinScenarios)
@@ -207,8 +211,14 @@ TEST(Params, ValidateCatchesCrossFieldErrors)
     expectInvalid([&] { params::validate(ports); },
                   "router.num_ports");
 
+    SimConfig long_packets;
+    long_packets.net.packetLength = 257;
+    expectInvalid([&] { params::validate(long_packets); },
+                  "traffic.packet_length");
+
     SimConfig good;
     good.net.router.model = router::RouterModel::SpecVirtualChannel;
     good.net.router.numVcs = 2;
+    good.net.packetLength = 256;
     EXPECT_NO_THROW(params::validate(good));
 }

@@ -18,14 +18,17 @@ struct SourceJig
     sim::FlitPool pool;
     sim::Channel<sim::FlitRef> flits{1};
     sim::Channel<sim::Credit> credits{1};
-    MeasureController ctrl{0, 1000000};
+    MeasureController ctrl;
     UniformPattern pattern{4};
     SourceConfig cfg;
     std::unique_ptr<Source> src;
     sim::Cycle now = 0;
 
+    /** `quota` is the sample size: tagging starts at cycle 0, and the
+     *  default never fills within a test. */
     explicit SourceJig(double rate, int vcs = 1, int buf = 8,
-                       int len = 5)
+                       int len = 5, std::uint64_t quota = 1000000)
+        : ctrl(0, quota)
     {
         cfg.numVcs = vcs;
         cfg.bufDepth = buf;
@@ -185,7 +188,9 @@ namespace {
 /** A jig whose source uses MMPP bursty arrivals. */
 struct BurstyJig : SourceJig
 {
-    BurstyJig(double rate, double on, double off) : SourceJig(0.0)
+    BurstyJig(double rate, double on, double off, int vcs = 1,
+              std::uint64_t quota = 1000000)
+        : SourceJig(0.0, vcs, 8, 5, quota)
     {
         cfg.packetRate = rate;
         cfg.burstOn = on;
@@ -252,5 +257,82 @@ TEST(SourceBurstTest, DisabledBurstKeepsTheHistoricalStream)
         EXPECT_EQ(fa[i].packet, fb[i].packet);
         EXPECT_EQ(fa[i].dest, fb[i].dest);
         EXPECT_EQ(fa[i].ctime, fb[i].ctime);
+    }
+}
+
+TEST(SourceOnDemandTest, QuotaFullSourceSendsTheEagerStream)
+{
+    // Once its sample quota is full a source draws arrivals only when
+    // an injection VC is idle.  Beside an identical source whose quota
+    // never fills, it must send the same flits in the same cycles --
+    // through a credit starvation that backs both up, the recovery
+    // that drains the backlog, and the caught-up running after it --
+    // while holding a bounded backlog.  The load (0.75 flits/cycle)
+    // is below the one-flit-per-cycle injection limit, so the sources
+    // do catch up.
+    const std::uint64_t quota = 10;
+    const int starve = 2000, recover = 10000;
+    const sim::PacketId first = (sim::PacketId(1) << 40) + 1;
+    struct Case
+    {
+        double burst;   //!< MMPP on = off dwell; 0 = Bernoulli.
+        int vcs;
+    };
+    for (const Case c : {Case{0, 1}, Case{0, 2}, Case{50, 1},
+                         Case{50, 2}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "burst=" << c.burst << " vcs=" << c.vcs);
+        BurstyJig early(0.15, c.burst, c.burst, c.vcs, quota);
+        BurstyJig eager(0.15, c.burst, c.burst, c.vcs);
+
+        std::size_t sent = 0, mismatches = 0;
+        auto step = [&](bool echo) {
+            auto fa = early.run(1, echo);
+            auto fb = eager.run(1, echo);
+            if (fa.size() != fb.size()) {
+                mismatches++;
+                return;
+            }
+            for (std::size_t i = 0; i < fa.size(); i++) {
+                const Flit &a = fa[i], &b = fb[i];
+                bool same = a.packet == b.packet && a.dest == b.dest &&
+                            a.ctime == b.ctime &&
+                            a.vclass == b.vclass && a.inter == b.inter &&
+                            a.seq == b.seq && a.type == b.type &&
+                            a.vc == b.vc;
+                mismatches += same ? 0 : 1;
+                EXPECT_EQ(a.measured, a.packet - first < quota);
+            }
+            sent += fa.size();
+        };
+
+        std::size_t filled_backlog = 0, max_backlog = 0;
+        for (int i = 0; i < starve; i++) {
+            bool was_full = early.ctrl.quotaFull();
+            step(false);
+            if (!was_full && early.ctrl.quotaFull())
+                filled_backlog = early.src->backlog();
+            if (was_full)
+                max_backlog = std::max(max_backlog, early.src->backlog());
+        }
+        // No credits: every VC stalls, and past the quota only an idle
+        // VC may draw one more packet.
+        ASSERT_TRUE(early.ctrl.quotaFull());
+        EXPECT_LE(max_backlog, filled_backlog + std::size_t(c.vcs));
+        EXPECT_GT(eager.src->backlog(), 10 * early.src->backlog());
+
+        // The downstream buffers drain: return every credit, then echo
+        // one per flit.
+        for (int vc = 0; vc < c.vcs; vc++) {
+            for (int k = 0; k < early.cfg.bufDepth; k++) {
+                early.credits.push(sim::Credit{vc}, early.now);
+                eager.credits.push(sim::Credit{vc}, eager.now);
+            }
+        }
+        for (int i = 0; i < recover; i++)
+            step(true);
+        EXPECT_EQ(mismatches, 0u);
+        EXPECT_GT(sent, std::size_t(recover / 2));
+        EXPECT_LT(eager.src->backlog(), 20u);    // Caught up.
     }
 }

@@ -13,9 +13,12 @@ set -euo pipefail
 
 # One cell per line: experiment, PDR_THREADS, par.workers, observers.
 # "-" leaves the setting at its default (PDR_THREADS: all cores;
-# par.workers: 1).  fig18 runs with PDR_FAST=1 against fig18.fast.csv,
-# kary3cube at full size against kary3cube.csv.  PDR_THREADS=1 keeps the
-# sweep pool from claiming the cores, so the network workers spin up.
+# par.workers: 1).  kary3cube runs at full size against kary3cube.csv;
+# every other experiment runs with PDR_FAST=1 against <exp>.fast.csv.
+# PDR_THREADS=1 keeps the sweep pool from claiming the cores, so the
+# network workers spin up.  The other paper figures (fig13, fig14,
+# fig15, fig17) and bursty (the only golden with MMPP arrivals) run at
+# the default split.
 CELLS="
 fig18      -  -  -
 fig18      1  1  -
@@ -35,6 +38,11 @@ kary3cube  1  1  -
 kary3cube  1  4  -
 kary3cube  1  -  telem
 kary3cube  1  -  prof
+fig13      -  -  -
+fig14      -  -  -
+fig15      -  -  -
+fig17      -  -  -
+bursty     -  -  -
 "
 
 if [[ $# -gt 1 ]]; then
@@ -65,9 +73,9 @@ while read -r exp threads workers observers; do
           -u PDR_WARMUP -u PDR_MAX_CYCLES)
     args=(sweep --file "experiments/$exp.exp" --csv "$tmp/cell.csv")
     golden=experiments/golden/$exp.csv
-    if [[ $exp == fig18 ]]; then
+    if [[ $exp != kary3cube ]]; then
         envs+=(PDR_FAST=1)
-        golden=experiments/golden/fig18.fast.csv
+        golden=experiments/golden/$exp.fast.csv
     fi
     [[ $threads != - ]] && envs+=("PDR_THREADS=$threads")
     [[ $workers != - ]] && args+=("--par.workers=$workers")
