@@ -17,6 +17,7 @@
 
 #include <cstdio>
 
+#include "api/simulation.hh"
 #include "bench_util.hh"
 #include "common/logging.hh"
 

@@ -2,91 +2,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <stdexcept>
 
 #ifndef PDR_EXPERIMENTS_DIR
 #define PDR_EXPERIMENTS_DIR "experiments"
 #endif
 
 namespace pdr::bench {
-
-namespace {
-
-bool
-fastMode()
-{
-    const char *env = std::getenv("PDR_FAST");
-    return env && env[0] == '1';
-}
-
-/**
- * Print the latency table for a loads x curves sweep: one row per
- * offered load, one column per curve, plus the measured saturation
- * knees and the wall-clock summary.  `results` must be loads-major
- * (point index = row * #curves + curve).
- */
-void
-printCurveTable(const std::vector<double> &loads,
-                const std::vector<std::string> &labels,
-                const exec::SweepResults &results)
-{
-    std::printf("%-8s", "load");
-    for (const auto &label : labels)
-        std::printf(" %16s", label.c_str());
-    std::printf("\n");
-    std::printf("%-8s", "");
-    for (std::size_t i = 0; i < labels.size(); i++)
-        std::printf(" %16s", "latency (cyc)");
-    std::printf("\n");
-
-    std::vector<double> knee(labels.size(), 0.0);
-    std::vector<double> zero_load(labels.size(), 0.0);
-    std::vector<bool> saturated(labels.size(), false);
-
-    bool first_row = true;
-    for (std::size_t row = 0; row < loads.size(); row++) {
-        std::printf("%-8.2f", loads[row]);
-        for (std::size_t i = 0; i < labels.size(); i++) {
-            const auto &res =
-                results.points[row * labels.size() + i].res;
-            if (first_row)
-                zero_load[i] = res.avgLatency;
-            // Saturation: the sample failed to drain, accepted traffic
-            // lags offered, or latency left the flat region (4x the
-            // lowest-load latency -- the knee of the paper's figures).
-            bool sat = res.saturated() ||
-                       res.avgLatency > 4.0 * zero_load[i];
-            if (sat) {
-                std::printf(" %11.1f sat*", res.avgLatency);
-                saturated[i] = true;
-            } else {
-                std::printf(" %16.1f", res.avgLatency);
-                if (!saturated[i])
-                    knee[i] = loads[row];
-            }
-        }
-        std::printf("\n");
-        std::fflush(stdout);
-        first_row = false;
-    }
-
-    std::printf("\nmeasured saturation (last load on the grid with "
-                "latency < 4x zero-load):\n");
-    for (std::size_t i = 0; i < labels.size(); i++)
-        std::printf("  %-20s ~%.2f of capacity "
-                    "(zero-load %.1f cycles)\n",
-                    labels[i].c_str(), knee[i], zero_load[i]);
-    std::printf("(sat* = latency blew past 4x zero-load or the sample"
-                " failed to drain;\n latency shown is of received "
-                "packets only and is unbounded past saturation)\n");
-    std::printf("sweep: %zu points on %d threads in %.1f s "
-                "(PDR_THREADS to change)\n", results.points.size(),
-                results.threads, results.wallMs / 1000.0);
-    maybeExportCsv(results);
-}
-
-} // namespace
 
 void
 banner(const std::string &title, const std::string &what)
@@ -97,80 +18,6 @@ banner(const std::string &title, const std::string &what)
     std::printf("%s\n", what.c_str());
     std::printf("==============================================="
                 "=============================\n");
-}
-
-std::vector<double>
-loadGrid()
-{
-    if (fastMode())
-        return {0.1, 0.3, 0.5, 0.7};
-    return {0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45,
-            0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8};
-}
-
-api::SimConfig
-baseConfig()
-{
-    api::SimConfig cfg;
-    cfg.net.k = 8;
-    cfg.net.packetLength = 5;
-    cfg.net.warmup = 10000;
-    cfg.net.samplePackets = fastMode() ? 3000 : 30000;
-    cfg.maxCycles = 150000;
-    cfg.applyEnvDefaults();
-    return cfg;
-}
-
-api::SimConfig
-routerConfig(router::RouterModel model, int vcs, int buf,
-             bool single_cycle)
-{
-    api::SimConfig cfg = baseConfig();
-    cfg.net.router.model = model;
-    cfg.net.router.singleCycle = single_cycle;
-    cfg.net.router.numVcs = vcs;
-    cfg.net.router.bufDepth = buf;
-    return cfg;
-}
-
-void
-maybeExportCsv(const exec::SweepResults &results)
-{
-    const char *path = std::getenv("PDR_SWEEP_CSV");
-    if (!path || !path[0])
-        return;
-    std::ofstream out(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot write PDR_SWEEP_CSV=%s\n", path);
-        return;
-    }
-    results.toTable().writeCsv(out);
-    std::printf("(raw sweep results written to %s)\n", path);
-}
-
-void
-runAndPrintCurves(const std::vector<Curve> &curves)
-{
-    // One sweep point per (load, curve) pair, loads-major so the
-    // results can be consumed row by row below.
-    auto loads = loadGrid();
-    std::vector<exec::SweepPoint> points;
-    points.reserve(loads.size() * curves.size());
-    for (double f : loads) {
-        for (const auto &c : curves) {
-            auto cfg = c.cfg;
-            cfg.net.setOfferedFraction(f);
-            points.push_back({c.label, cfg});
-        }
-    }
-
-    auto results = api::runSweep(points);
-    results.throwIfFailed();
-
-    std::vector<std::string> labels;
-    for (const auto &c : curves)
-        labels.push_back(c.label);
-    printCurveTable(loads, labels, results);
 }
 
 std::string
@@ -187,29 +34,6 @@ loadExperiment(const std::string &name)
     auto exp = api::Experiment::load(experimentFile(name));
     exp.applyEnv();
     return exp;
-}
-
-void
-runAndPrintExperiment(const api::Experiment &exp)
-{
-    if (exp.axes.size() != 1 ||
-        exp.axes[0].key != api::Experiment::kLoadsKey) {
-        throw std::invalid_argument(
-            "runAndPrintExperiment needs exactly one sweep.loads axis");
-    }
-
-    std::vector<double> loads;
-    for (const auto &v : exp.axes[0].values)
-        loads.push_back(std::strtod(v.c_str(), nullptr));
-    std::vector<std::string> labels;
-    for (const auto &c : exp.curves)
-        labels.push_back(c.label);
-    if (labels.empty())
-        labels.push_back("");
-
-    auto results = api::runSweep(exp.points());
-    results.throwIfFailed();
-    printCurveTable(loads, labels, results);
 }
 
 } // namespace pdr::bench

@@ -1,66 +1,32 @@
 /**
  * @file
- * Shared helpers for the reproduction benches: standard configurations,
- * the offered-load grid of the paper's figures, and table printing.
+ * Shared helpers for the reproduction benches: the banner, and loading
+ * the shipped experiment files.
  *
  * Every bench prints the same rows/series as the corresponding table or
  * figure of Peh & Dally (HPCA 2001), with the paper's reported values
- * alongside where they are quoted in the text.
+ * alongside where they are quoted in the text.  The latency-load
+ * figures have no bench: `pdr sweep --file experiments/<fig>.exp` runs
+ * them, and each file's header quotes the paper's values.
  *
  * Environment:
- *   PDR_PACKETS    sample-space size (default 30000; paper used 100000)
- *   PDR_WARMUP     warm-up cycles (default 10000, as in the paper)
- *   PDR_MAX_CYCLES simulation cycle cap for saturated points
- *   PDR_FAST=1     coarse load grid + small sample for smoke runs
- *   PDR_THREADS    sweep worker threads (default: hardware concurrency;
- *                  per-point results are independent of this)
- *   PDR_SWEEP_CSV  write the raw sweep results to this CSV file
+ *   PDR_EXPERIMENTS_DIR  where the .exp files live (default: the
+ *                        source tree's experiments/ directory)
+ *   PDR_FAST, PDR_PACKETS, PDR_WARMUP, PDR_MAX_CYCLES  folded into a
+ *                        loaded experiment exactly as `pdr sweep` does
  */
 
 #ifndef PDR_BENCH_UTIL_HH
 #define PDR_BENCH_UTIL_HH
 
 #include <string>
-#include <vector>
 
 #include "api/params.hh"
-#include "api/simulation.hh"
-#include "exec/sweep.hh"
 
 namespace pdr::bench {
 
 /** Print a bench banner. */
 void banner(const std::string &title, const std::string &what);
-
-/** The offered-load fractions used for latency-throughput curves. */
-std::vector<double> loadGrid();
-
-/** Base configuration matching the paper's Section-5 setup. */
-api::SimConfig baseConfig();
-
-/** Configure a router model. */
-api::SimConfig routerConfig(router::RouterModel model, int vcs, int buf,
-                            bool single_cycle = false);
-
-/** A labelled latency-throughput curve. */
-struct Curve
-{
-    std::string label;
-    api::SimConfig cfg;
-};
-
-/**
- * Run every curve over the load grid -- all (load, curve) points in
- * parallel on the sweep engine -- and print a table: one row per
- * offered load, one latency column per curve ("sat" once the sample no
- * longer drains).  Also prints each curve's measured saturation knee
- * and the sweep wall-clock/thread summary.  With PDR_SWEEP_CSV set,
- * dumps the raw per-point results to that file.
- */
-void runAndPrintCurves(const std::vector<Curve> &curves);
-
-/** Write a sweep's raw results to $PDR_SWEEP_CSV, if set. */
-void maybeExportCsv(const pdr::exec::SweepResults &results);
 
 /**
  * Path of a shipped experiment file: $PDR_EXPERIMENTS_DIR (if set) or
@@ -71,14 +37,6 @@ std::string experimentFile(const std::string &name);
 /** Load a shipped experiment and fold in the environment
  *  (PDR_FAST, PDR_PACKETS, ...), exactly as `pdr sweep` does. */
 api::Experiment loadExperiment(const std::string &name);
-
-/**
- * Run a single-load-axis experiment (e.g. fig13/fig18) and print the
- * same latency table as runAndPrintCurves.  The sweep points come from
- * Experiment::points(), so the PDR_SWEEP_CSV output is row-for-row
- * identical to `pdr sweep --file <experiment>`.
- */
-void runAndPrintExperiment(const api::Experiment &exp);
 
 } // namespace pdr::bench
 

@@ -65,16 +65,6 @@ simulate(const SimConfig &cfg, double stop_latency)
     net::Network network(cfg.net);
     auto &ctrl = network.controller();
 
-    // The per-cycle auditor hooks the serial Network::step() path only
-    // (a one-worker stepper is exactly that path); partitioned phase
-    // state is torn between barriers, so with real workers the
-    // per-cycle checks cannot run.  Teardown leak detection still can.
-    if (network.auditEnabled() && par::resolveWorkers(cfg.parWorkers) > 1) {
-        pdr_warn("sim.audit: per-cycle checks are bypassed with "
-                 "par.workers > 1 (only the teardown flit-leak check "
-                 "runs); use par.workers = 1 for full auditing");
-    }
-
     // Intra-network partitioned stepping: bit-identical to serial
     // stepping for any worker count (the stepper with one worker is
     // exactly Network::step()), so the measurement protocol below is
@@ -122,41 +112,20 @@ simulate(const SimConfig &cfg, double stop_latency)
         // received, or the cycle cap is reached (saturated networks
         // never drain).  done() can only change on a cycle where some
         // component acts, so fast-forwarding through idle regions
-        // between steps never skips the termination cycle.
-        //
-        // With telemetry, idle jumps are capped at sampling boundaries
-        // and poll() runs before sizing each jump and again after it
-        // (a jump landing on a boundary emits before the boundary
-        // cycle runs); a capped jump that parks on a boundary with no
-        // due wake resumes the jump instead of stepping (see
-        // ParallelStepper::stepTo for why this is schedule-identical
-        // to the uncapped loop).
+        // between steps never skips the termination cycle.  The early
+        // exit is tested at the same points, before each jump.
         telem::HostProfiler::Scope phase(tel ? &tel->host() : nullptr,
                                          "sample");
         const double n = double(ctrl.sampleSize());
-        while (!ctrl.done() && network.now() < cfg.maxCycles) {
-            if (stop_latency < kNoStop &&
-                double(ctrl.latencySumLowerBound(network.now())) / n >
-                    stop_latency) {
-                break;
-            }
-            if (tel)
-                tel->poll();
-            sim::Cycle before = network.now();
-            sim::Cycle cap = tel ? tel->cap(cfg.maxCycles) : cfg.maxCycles;
-            stepper.skipIdle(cap);
-            if (tel)
-                tel->poll();
-            if (network.now() >= cfg.maxCycles)
-                break;
-            // Only a jump that stopped at an observer's cap can park
-            // short of the next wake; an uncapped one lands on it.
-            if (network.now() == cap && network.now() != before &&
-                network.nextWakeCycle() > network.now()) {
-                continue;
-            }
-            stepper.step();
-        }
+        auto stop = [&] {
+            if (ctrl.done())
+                return true;
+            return stop_latency < kNoStop &&
+                   double(ctrl.latencySumLowerBound(network.now())) / n >
+                       stop_latency;
+        };
+        network.drive(cfg.maxCycles, [&] { stepper.step(); }, stop,
+                      tel.get());
     }
 
     if (tel)

@@ -21,9 +21,9 @@
  *
  * Typical use (also exposed as pdr::api::runSweep):
  *
- *   auto points = exec::SweepBuilder(bench::baseConfig())
+ *   auto points = exec::SweepBuilder(base)
  *                     .model("specVC", ...)
- *                     .loads(bench::loadGrid())
+ *                     .loads({0.1, 0.2, 0.3})
  *                     .build();
  *   auto results = exec::SweepRunner().run(points);
  *   results.toTable().writeCsv(file);

@@ -513,14 +513,44 @@ Network::skipIdle(sim::Cycle limit)
 }
 
 void
-Network::stepTo(sim::Cycle limit)
+Network::drive(sim::Cycle limit, const std::function<void()> &advance,
+               const std::function<bool()> &stop, EpochObserver *obs)
 {
-    while (now_ < limit) {
-        skipIdle(limit);
+    while (now_ < limit && !(stop && stop())) {
+        // First poll: a cycle that just crossed onto an epoch boundary
+        // is observed here, moving the cap past now_ before the jump
+        // is sized.
+        if (obs)
+            obs->poll();
+        const sim::Cycle before = now_;
+        const sim::Cycle cap = obs ? obs->cap(limit) : limit;
+        skipIdle(cap);
+        // Second poll: a jump that landed on a boundary is observed
+        // before the boundary cycle runs.
+        if (obs)
+            obs->poll();
         if (now_ >= limit)
             break;
-        step();
+        // Resume rule.  A jump can stop short of the next wake only on
+        // the cap.  If no component is due there, advancing would run
+        // a cycle that the loop without an observer jumps over:
+        // nothing would tick, but the cycles stepped (and audited and
+        // profiled) would depend on the observer.  So keep jumping.
+        // Testing now_ == cap first spares the wake-table scan after a
+        // jump that landed on a wake, and after every jump when obs is
+        // null (cap == limit then, handled above).
+        if (now_ == cap && now_ != before && nextWakeCycle() > now_)
+            continue;
+        advance();
     }
+    if (obs)
+        obs->poll();
+}
+
+void
+Network::stepTo(sim::Cycle limit)
+{
+    drive(limit, [this] { step(); }, nullptr, nullptr);
 }
 
 void

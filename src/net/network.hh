@@ -28,6 +28,7 @@
 #ifndef PDR_NET_NETWORK_HH
 #define PDR_NET_NETWORK_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,8 +87,7 @@ struct NetworkConfig
      * Purely observational -- results are bit-identical either way --
      * but costs a scan per cycle, so it is a debug switch, not a
      * production default.  PDR_AUDIT=1 in the environment enables it
-     * regardless of this flag.  Serial stepping only (par.workers > 1
-     * bypasses the audited step path).
+     * regardless of this flag.
      */
     bool audit = false;
 
@@ -132,6 +132,25 @@ operator!=(const NetworkConfig &a, const NetworkConfig &b)
     return !(a == b);
 }
 
+/**
+ * Something that samples the network at fixed simulated-time epochs
+ * (telem::Telemetry; tests plug in fakes).  Network::drive calls it
+ * only between cycles, with any worker gang parked, so it may read
+ * any network state.
+ */
+class EpochObserver
+{
+  public:
+    virtual ~EpochObserver() = default;
+
+    /** The furthest a clock jump bounded by `limit` may go: never past
+     *  the next epoch. */
+    virtual sim::Cycle cap(sim::Cycle limit) const = 0;
+
+    /** Handle every epoch due at the network's now(). */
+    virtual void poll() = 0;
+};
+
 /** The simulated network. */
 class Network
 {
@@ -155,8 +174,23 @@ class Network
     void run(sim::Cycle n);
 
     /** Advance to cycle `limit`, fast-forwarding through idle
-     *  regions. */
+     *  regions (drive() with step()). */
     void stepTo(sim::Cycle limit);
+
+    /**
+     * The one stepping loop.  Until now() reaches `limit` or `stop`
+     * holds (checked before each jump; empty = never): poll `obs`,
+     * jump idle cycles up to obs->cap(limit), poll again, then call
+     * `advance` -- this network's step() or a par::ParallelStepper's
+     * -- to run one cycle.  One last poll follows the loop.
+     *
+     * Resume rule: a jump that stops on the observer's cap with no
+     * component due there resumes instead of stepping, so the cycles
+     * that run -- and every result -- are those of the same loop
+     * without an observer.  `obs` may be null.
+     */
+    void drive(sim::Cycle limit, const std::function<void()> &advance,
+               const std::function<bool()> &stop, EpochObserver *obs);
 
     // ----- clock fast-forward ----------------------------------------
 
@@ -179,16 +213,6 @@ class Network
      * cycle.
      */
     sim::Cycle skipIdle(sim::Cycle limit);
-
-    /** Jump the clock to `t` (>= now) without ticking.  Exposed for
-     *  the parallel stepper, which decides jumps on worker 0 between
-     *  cycle barriers; use skipIdle() otherwise. */
-    void
-    advanceTo(sim::Cycle t)
-    {
-        pdr_assert(t >= now_);
-        now_ = t;
-    }
 
     // ----- partition-sliced stepping (par::ParallelStepper) ----------
     //
@@ -357,6 +381,16 @@ class Network
      *  credit conservation every cycle. */
     bool auditEnabled() const { return auditor_ != nullptr; }
 
+    /**
+     * Per-cycle checks, run before a cycle's tick phases (by step(),
+     * or by the parallel stepper's worker 0 with the gang parked):
+     * [AUD-WAKE] no consumer sleeps past a matured channel item;
+     * [AUD-CREDIT] every link VC conserves its buffer depth;
+     * [AUD-BID] every router's bid bitsets match a dense recompute.
+     * Requires auditEnabled().
+     */
+    void auditCycle();
+
     /** The auditor (check counters); nullptr when auditing is off. */
     const sim::Auditor *auditor() const { return auditor_.get(); }
 
@@ -446,11 +480,6 @@ class Network
 
     std::unique_ptr<sim::Auditor> auditor_;
     std::vector<AuditLink> auditLinks_;
-
-    /** Per-cycle checks, run by step() before the tick phases:
-     *  [AUD-WAKE] no consumer sleeps past a matured channel item;
-     *  [AUD-CREDIT] every link VC conserves its buffer depth. */
-    void auditCycle();
 
     FlitChannel *newFlitChan(sim::Cycle latency, std::size_t producer,
                              std::size_t consumer);

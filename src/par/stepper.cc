@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "exec/thread_pool.hh"
 #include "prof/profiler.hh"
-#include "telem/telemetry.hh"
 
 namespace pdr::par {
 
@@ -221,6 +220,10 @@ ParallelStepper::step()
         }
         return;
     }
+    // The gang is parked at the cycle-start barrier: the state a
+    // serial step() audits before its tick phases.
+    if (net_.auditEnabled())
+        net_.auditCycle();
     syncTrace();
     if (prof_)
         prof_->mark(0, prof::Profiler::Phase::Tick);
@@ -252,59 +255,10 @@ ParallelStepper::step()
         prof_->mark(0, prof::Profiler::Phase::Idle);
 }
 
-sim::Cycle
-ParallelStepper::skipIdle(sim::Cycle limit)
-{
-    // Workers are parked at the cycle-start barrier whenever this
-    // runs, so worker 0 reads a quiescent, post-drain wake table; the
-    // next barrier arrival publishes the jumped clock to the gang.
-    return net_.skipIdle(limit);
-}
-
 void
-ParallelStepper::stepTo(sim::Cycle limit)
+ParallelStepper::stepTo(sim::Cycle limit, net::EpochObserver *obs)
 {
-    while (net_.now() < limit) {
-        skipIdle(limit);
-        if (net_.now() >= limit)
-            break;
-        step();
-    }
-}
-
-void
-ParallelStepper::stepTo(sim::Cycle limit, telem::Telemetry *tel)
-{
-    if (!tel) {
-        stepTo(limit);
-        return;
-    }
-    while (net_.now() < limit) {
-        // First poll: a step that just crossed onto a boundary emits
-        // its epoch here, advancing the cap past `now` before the
-        // next jump is sized.
-        tel->poll();
-        sim::Cycle before = net_.now();
-        skipIdle(tel->cap(limit));
-        // Second poll: a jump that landed exactly on a boundary emits
-        // before the boundary cycle (if any is due) executes.
-        tel->poll();
-        if (net_.now() >= limit)
-            break;
-        // A capped jump can park exactly on a sampling boundary with
-        // no component due: resume the jump instead of forcing a step
-        // a serial (uncapped) run would never have taken.  No jump
-        // (`before` unchanged, e.g. under forceTickAll, or a wake due
-        // right now) always falls through to step(), and a jump that
-        // landed on the next wake steps it exactly like the plain
-        // loop.
-        if (net_.now() != before
-            && net_.nextWakeCycle() > net_.now()) {
-            continue;
-        }
-        step();
-    }
-    tel->poll();
+    net_.drive(limit, [this] { step(); }, nullptr, obs);
 }
 
 void

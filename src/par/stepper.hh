@@ -32,6 +32,16 @@
  * are therefore bit-identical to Network::step() for any worker count,
  * which tests/net/test_lockstep.cc and tests/par/ enforce.
  *
+ * Between cycles the gang is parked at the cycle-start barrier, after
+ * the drain: the wake table is globally consistent and staging is
+ * empty.  Everything that reads the whole network runs there, on
+ * worker 0 (the calling thread): stepTo()'s clock jumps and observer
+ * epochs, through Network::drive like any serial loop, and with
+ * auditing on the per-cycle checks of Network::auditCycle().  The
+ * next barrier release publishes what they did to the gang, so every
+ * worker count takes the same jumps and runs the same checks as a
+ * serial run.
+ *
  * Worker-count policy (resolveWorkers): an explicit request wins, then
  * the PDR_PAR_WORKERS environment variable, then 1 (serial).  When the
  * caller is itself a sweep-pool worker (nested parallelism), the
@@ -53,10 +63,6 @@
 namespace pdr::prof {
 class Profiler;
 } // namespace pdr::prof
-
-namespace pdr::telem {
-class Telemetry;
-} // namespace pdr::telem
 
 namespace pdr::par {
 
@@ -113,34 +119,13 @@ class ParallelStepper
     /** Advance n cycles, fast-forwarding through idle regions. */
     void run(sim::Cycle n);
 
-    /** Advance to cycle `limit`, fast-forwarding through idle
-     *  regions. */
-    void stepTo(sim::Cycle limit);
-
     /**
-     * stepTo() with telemetry epochs: idle jumps are capped at the
-     * sampler's next boundary (tel->cap()) and tel->poll() runs
-     * before each jump is sized and again after it lands, so windows
-     * are emitted at exact `telem.interval` multiples -- before the
-     * boundary cycle executes -- with the gang parked at the
-     * cycle-start barrier (a safe, quiescent sampling point).
-     * Capping a jump never changes what executes -- skipIdle() ticks
-     * nothing, and a boundary cycle with no due wake is skipped over
-     * without stepping -- so the schedule is bit-identical to the
-     * plain overload.  `tel` may be null (plain stepTo()).
+     * Advance to cycle `limit`, fast-forwarding through idle regions:
+     * Network::drive with this stepper's step().  A non-null `obs`
+     * (telemetry) is polled at its exact epochs with the gang parked;
+     * the schedule is the same with or without it.
      */
-    void stepTo(sim::Cycle limit, telem::Telemetry *tel);
-
-    /**
-     * Fast-forward the clock to the network's next wake (clamped to
-     * `limit`) without ticking; returns the new now().  Decided on
-     * worker 0 between cycle barriers: the gang is parked at the
-     * cycle-start barrier, the post-drain wake table is globally
-     * consistent, and the barrier's release/acquire ordering
-     * publishes the new clock -- so every worker count observes the
-     * same jumps a serial run would take.
-     */
-    sim::Cycle skipIdle(sim::Cycle limit);
+    void stepTo(sim::Cycle limit, net::EpochObserver *obs = nullptr);
 
     /**
      * Attach the engine profiler (null detaches).  Must be called

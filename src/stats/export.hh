@@ -3,7 +3,7 @@
  * Tabular result export: a simple header + rows table with CSV and JSON
  * writers.  The sweep engine (src/exec/) renders SweepResults through
  * this so every bench/example can dump machine-readable curves next to
- * its human-readable output (see PDR_SWEEP_CSV in bench/bench_util.cc).
+ * its human-readable output (see `pdr sweep --csv` in tools/pdr_main.cc).
  *
  * Cells are stored as strings; the JSON writer emits cells that parse
  * as finite numbers without quotes so downstream tooling gets real

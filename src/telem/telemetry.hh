@@ -3,13 +3,14 @@
  * Telemetry facade: owns the output streams and coordinates the three
  * observability layers -- the sharded counter registry (counters.hh),
  * the windowed stream sampler (sampler.hh) and the trace emitter
- * (trace.hh) -- behind two calls the stepping loop makes at safe
- * points:
+ * (trace.hh) -- as the run's net::EpochObserver.  Network::drive, the
+ * one stepping loop, makes its two calls at safe points:
  *
  *   cap(limit)  bounds every clock fast-forward so the simulation
  *               stops exactly on each sampling epoch.  skipIdle never
- *               ticks anything, so splitting one jump into several is
- *               provably invisible to simulated behavior; and
+ *               ticks anything, and drive's resume rule never steps a
+ *               cycle just because a jump stopped on an epoch, so the
+ *               schedule is the same with telemetry on or off; and
  *   poll()      emits every window record that has come due at the
  *               current cycle, then drains the trace buffers.
  *
@@ -93,7 +94,7 @@ class HostProfiler
 };
 
 /** The per-run telemetry coordinator; see file comment. */
-class Telemetry
+class Telemetry : public net::EpochObserver
 {
   public:
     /**
@@ -106,20 +107,20 @@ class Telemetry
      */
     Telemetry(const Config &cfg, net::Network &net,
               prof::Profiler *prof = nullptr);
-    ~Telemetry();
+    ~Telemetry() override;
 
     Telemetry(const Telemetry &) = delete;
     Telemetry &operator=(const Telemetry &) = delete;
 
     /** Clock-jump cap: never fast-forward past the next epoch. */
     sim::Cycle
-    cap(sim::Cycle limit) const
+    cap(sim::Cycle limit) const override
     {
         return std::min(limit, nextSampleAt_);
     }
 
     /** Emit every epoch due at net.now(); safe points only. */
-    void poll();
+    void poll() override;
 
     /**
      * End of run: final partial window, per-router heatmap, open

@@ -56,15 +56,21 @@ traceBound(const net::NetworkConfig &cfg, int workers, sim::Cycle cap)
     auto &ctrl = net.controller();
 
     BoundTrace t;
-    stepper.stepTo(cfg.warmup);
-    while (!ctrl.done() && net.now() < cap) {
+    auto record = [&] {
         t.points.push_back({net.now(), ctrl.latencySumLowerBound(net.now())});
-        stepper.skipIdle(cap);
-        if (net.now() >= cap)
-            break;
-        stepper.step();
-    }
-    t.points.push_back({net.now(), ctrl.latencySumLowerBound(net.now())});
+    };
+    stepper.stepTo(cfg.warmup);
+    // The sample phase's loop, with the bound read where simulate()
+    // tests its early exit.
+    net.drive(cap, [&] { stepper.step(); },
+              [&] {
+                  if (ctrl.done())
+                      return true;
+                  record();
+                  return false;
+              },
+              nullptr);
+    record();
     t.finalSum = net.latency().sum();
     t.drained = ctrl.done();
     return t;

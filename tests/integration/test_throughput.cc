@@ -11,7 +11,8 @@
  *   - the single-cycle (unit-latency) model overestimates throughput of
  *     a realistically pipelined router;
  *   - deeper buffers raise saturation for every flow control.
- * Absolute knees are recorded in EXPERIMENTS.md via bench_fig13..15.
+ * Absolute knees come from `pdr sweep --file experiments/fig13.exp`
+ * (and fig14, fig15); see docs/EXPERIMENTS.md.
  */
 
 #include <gtest/gtest.h>

@@ -8,10 +8,14 @@
  * deliveries, same latency statistics, same router counters, same
  * final clock -- serially and through a ParallelStepper, plus a
  * saturated k=16 lockstep where credit-stall sleeping dominates the
- * schedule.
+ * schedule.  An epoch observer that caps the jumps (Network::drive's
+ * resume rule) must not change which cycles run.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
 
 #include "net/network.hh"
 #include "par/stepper.hh"
@@ -65,6 +69,36 @@ expectSameEndState(net::Network &a, net::Network &b,
 
     EXPECT_EQ(a.quiescent(), b.quiescent());
 }
+
+/** An epoch every `k` cycles; records the clock at each one polled. */
+class EveryK : public net::EpochObserver
+{
+  public:
+    EveryK(const net::Network &net, sim::Cycle k)
+        : net_(net), k_(k), next_(net.now() + k)
+    {
+    }
+
+    sim::Cycle
+    cap(sim::Cycle limit) const override
+    {
+        return std::min(limit, next_);
+    }
+
+    void
+    poll() override
+    {
+        for (; next_ <= net_.now(); next_ += k_)
+            seen.push_back(net_.now());
+    }
+
+    std::vector<sim::Cycle> seen;
+
+  private:
+    const net::Network &net_;
+    sim::Cycle k_;
+    sim::Cycle next_;
+};
 
 } // namespace
 
@@ -181,4 +215,53 @@ TEST(FastForward, ParallelStepperJumpsMatchSerial)
         stepper.stepTo(horizon);
     }
     expectSameEndState(serial, gang, st, gt);
+}
+
+TEST(FastForward, CappedJumpsResumeInsteadOfStepping)
+{
+    // An observer caps every jump at its next epoch.  A jump that stops
+    // on an epoch with no component due must resume, not step: the
+    // observed run steps (and audits) exactly the cycles of the run
+    // without an observer.  The quiescent case is the one that jumps;
+    // under traffic the sources are due every cycle.
+    struct Case
+    {
+        const char *name;
+        double offered;
+        sim::Cycle horizon;
+    };
+    const Case cases[] = {{"quiescent", 0.0, 20000},
+                          {"traffic", 0.3, 2000}};
+    for (const Case &tc : cases) {
+        for (sim::Cycle k : {1, 7, 997}) {
+            for (int workers : {1, 2, 4}) {
+                SCOPED_TRACE(std::string(tc.name) + ", K = " +
+                             std::to_string(k) + ", workers = " +
+                             std::to_string(workers));
+                auto cfg = baseConfig(4, tc.offered);
+                cfg.audit = true;
+                net::Network plain(cfg), observed(cfg);
+                std::vector<traffic::Delivery> pt, ot;
+                plain.recordDeliveries(&pt);
+                observed.recordDeliveries(&ot);
+                EveryK obs(observed, k);
+                {
+                    par::ParConfig pc;
+                    pc.workers = workers;
+                    par::ParallelStepper a(plain, pc), b(observed, pc);
+                    a.stepTo(tc.horizon);
+                    b.stepTo(tc.horizon, &obs);
+                }
+
+                // Every epoch polled once, on its boundary.
+                ASSERT_EQ(obs.seen.size(), tc.horizon / k);
+                for (std::size_t i = 0; i < obs.seen.size(); i++)
+                    ASSERT_EQ(obs.seen[i], (i + 1) * k) << "epoch " << i;
+
+                expectSameEndState(plain, observed, pt, ot);
+                EXPECT_EQ(plain.auditor()->checksRun(),
+                          observed.auditor()->checksRun());
+            }
+        }
+    }
 }

@@ -8,7 +8,8 @@
  * nonzero number of checks, bit-identical to an unaudited run), a
  * deliberately corrupted wake-table entry trips [AUD-WAKE] on the next
  * step, and a flit allocated but never queued trips [AUD-LEAK] at
- * teardown.
+ * teardown.  The per-cycle checks run at every worker count: the
+ * partitioned stepper runs them on worker 0 with the gang parked.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <string>
 
 #include "net/network.hh"
+#include "par/stepper.hh"
 #include "sim/audit.hh"
 
 using namespace pdr;
@@ -60,13 +62,27 @@ TEST(Audit, EnvEnabledParsesTruthyValues)
 
 TEST(Audit, CleanRunPassesAndCountsChecks)
 {
-    net::Network net(auditedConfig());
-    ASSERT_TRUE(net.auditEnabled());
-    net.run(500);
-    EXPECT_NO_THROW(net.auditTeardown());
-    ASSERT_NE(net.auditor(), nullptr);
-    // Wake-table and conservation checks ran every cycle.
-    EXPECT_GT(net.auditor()->checksRun(), 1000u);
+    std::uint64_t serialChecks = 0;
+    for (int workers : {1, 2, 4}) {
+        SCOPED_TRACE("par.workers = " + std::to_string(workers));
+        net::Network net(auditedConfig());
+        ASSERT_TRUE(net.auditEnabled());
+        {
+            par::ParConfig pc;
+            pc.workers = workers;
+            par::ParallelStepper stepper(net, pc);
+            ASSERT_EQ(stepper.workers(), workers);
+            stepper.run(500);
+        }
+        EXPECT_NO_THROW(net.auditTeardown());
+        ASSERT_NE(net.auditor(), nullptr);
+        // Wake-table and conservation checks ran every cycle, the same
+        // ones at every worker count.
+        EXPECT_GT(net.auditor()->checksRun(), 1000u);
+        if (workers == 1)
+            serialChecks = net.auditor()->checksRun();
+        EXPECT_EQ(net.auditor()->checksRun(), serialChecks);
+    }
 }
 
 TEST(Audit, AuditedRunIsBitIdenticalToUnaudited)
@@ -103,19 +119,26 @@ TEST(Audit, CatchesBrokenNextWake)
     // for.  Router 0's injection channel gets traffic immediately at
     // this load, so a wake planted far in the future contradicts an
     // in-flight item within a few cycles.
-    net::Network net(auditedConfig());
-    net.run(20);  // Get traffic in flight.
-    net.setWakeAtForTest(net.rtrComp(0), net.now() + 100000);
-    try {
-        net.run(50);
-        FAIL() << "corrupted wake table not detected";
-    } catch (const sim::AuditError &e) {
-        EXPECT_NE(std::string(e.what()).find("AUD-WAKE"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find("router 0"),
-                  std::string::npos)
-            << e.what();
+    for (int workers : {1, 2, 4}) {
+        SCOPED_TRACE("par.workers = " + std::to_string(workers));
+        net::Network net(auditedConfig());
+        par::ParConfig pc;
+        pc.workers = workers;
+        par::ParallelStepper stepper(net, pc);
+        ASSERT_EQ(stepper.workers(), workers);
+        stepper.run(20);  // Get traffic in flight.
+        net.setWakeAtForTest(net.rtrComp(0), net.now() + 100000);
+        try {
+            stepper.run(50);
+            FAIL() << "corrupted wake table not detected";
+        } catch (const sim::AuditError &e) {
+            EXPECT_NE(std::string(e.what()).find("AUD-WAKE"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("router 0"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

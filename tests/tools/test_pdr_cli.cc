@@ -290,8 +290,7 @@ const char *kTinySweep =
     "--sweep.loads=0.1,0.2,0.3,0.4";
 
 /** The CSV portion of a sweep's output (stderr summary and warn
- *  diagnostics dropped -- e.g. PDR_AUDIT=1 warns once per simulation
- *  when par.workers > 1 bypasses the per-cycle checks). */
+ *  diagnostics dropped). */
 std::string
 csvOf(const CmdResult &res)
 {

@@ -227,6 +227,12 @@ DENSESCAN_RE = re.compile(
     r"|\bfor\s*\([^;]*;[^;]*<=?\s*"
     r"(?:size\s*\(\s*\)|(?:n_|p_|v_|nivc)\b)")
 
+# The clock may jump only inside Network::drive (src/net/network.cc);
+# anywhere else in src/, a skipIdle() call is a hand-rolled copy of the
+# stepping loop.
+STEP_LOOP_RE = re.compile(r"\bskipIdle\s*\(")
+STEP_LOOP_HOME = ("src/net/network.hh", "src/net/network.cc")
+
 TICK_DECL_RE = re.compile(r"\btick\s*\(\s*(?:sim::)?Cycle\b")
 NEXTWAKE_RE = re.compile(r"\bnextWake\w*\s*\(")
 
@@ -341,6 +347,16 @@ RULES = [
                  "requests as packed bid words and walk set bits "
                  "(ctz), or justify (one-time ctor, diagnostics, "
                  "compat or ablation code off the router hot path)"),
+    Rule("PDR-STEP-LOOP",
+         "skipIdle() call outside src/net/network.{hh,cc}: a "
+         "hand-rolled stepping loop; Network::drive is the one loop "
+         "that jumps the clock, polls epoch observers and applies the "
+         "resume rule",
+         lambda p: in_src(p) and p not in STEP_LOOP_HOME,
+         pattern=STEP_LOOP_RE,
+         message="hand-rolled stepping loop: advance the clock through "
+                 "Network::drive (or Network/ParallelStepper::stepTo) "
+                 "instead of calling skipIdle()"),
     Rule("PDR-WAKE-NEXT",
          "component with tick() but no nextWake(): unschedulable under "
          "the wake-table scheduler (invariant 1)",
@@ -591,6 +607,16 @@ FIXTURES = [
      "    for (int w = 0; w < nivcWords_; w++)\n"
      "        row_[w] = inReq_[w];\n"
      "}\n"),
+    ("PDR-STEP-LOOP", "src/api/demo.cc",
+     "void sample(net::Network &net, sim::Cycle end) {\n"
+     "    while (net.now() < end) {\n"
+     "        net.skipIdle(end);\n"
+     "        if (net.now() < end) net.step();\n"
+     "    }\n"
+     "}\n",
+     "void sample(net::Network &net, sim::Cycle end) {\n"
+     "    net.stepTo(end);\n"
+     "}\n"),
     ("PDR-WAKE-NEXT", "src/traffic/demo.hh",
      "class Pulser {\n"
      "  public:\n"
@@ -623,6 +649,11 @@ SCOPE_FIXTURES = [
     # ... and the rest of src/ is PDR-RNG-TIME territory.
     ("PDR-OBS-WALLCLOCK", "src/router/demo.cc",
      "auto t0 = std::chrono::steady_clock::now();\n"),
+    # The loop's own home, and tests, may call skipIdle().
+    ("PDR-STEP-LOOP", "src/net/network.cc",
+     "    skipIdle(cap);\n"),
+    ("PDR-STEP-LOOP", "tests/net/demo.cc",
+     "EXPECT_EQ(net.skipIdle(100), 100u);\n"),
 ]
 
 

@@ -14,9 +14,10 @@
  * and emits CSV (default) or JSON via stats::Table.  Bad configs are
  * reported per point (ok/error columns), not fatally.
  *
- * The same expansion backs the ported figure benches, so
- * `pdr sweep --file experiments/fig18.exp --csv out.csv` matches
- * bench_fig18's PDR_SWEEP_CSV output row for row, for any PDR_THREADS.
+ * The latency-load figures are run this way:
+ * `pdr sweep --file experiments/fig18.exp --csv out.csv` writes the
+ * same bytes for any PDR_THREADS (CI diffs it against
+ * experiments/golden/).
  */
 
 #include <algorithm>
