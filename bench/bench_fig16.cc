@@ -17,9 +17,9 @@
 
 #include <cstdio>
 
-#include "api/simulation.hh"
 #include "bench_util.hh"
 #include "common/logging.hh"
+#include "exec/sweep.hh"
 
 using namespace pdr;
 
@@ -65,7 +65,7 @@ main()
     // experiments/fig16.exp: curves = router variants, one sweep axis
     // over router.buf_depth, fixed-horizon mode.
     auto exp = bench::loadExperiment("fig16.exp");
-    auto results = api::runSweep(exp.points());
+    auto results = exec::SweepRunner().run(exp.points());
     results.throwIfFailed();
 
     const auto &bufs = exp.axes.at(0).values;

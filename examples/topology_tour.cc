@@ -17,6 +17,7 @@
 
 #include "api/params.hh"
 #include "common/logging.hh"
+#include "exec/sweep.hh"
 
 using namespace pdr;
 
@@ -60,7 +61,7 @@ main(int argc, char **argv)
     std::printf("%-14s %22s %22s %22s\n", "pattern", "mesh + DOR",
                 "mesh + west-first", "torus + dateline");
 
-    auto results = api::runSweep(exp.points());
+    auto results = exec::SweepRunner().run(exp.points());
     results.throwIfFailed();
 
     const auto &kinds = exp.axes.at(0).values;

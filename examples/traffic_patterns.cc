@@ -18,6 +18,7 @@
 
 #include "api/params.hh"
 #include "common/logging.hh"
+#include "exec/sweep.hh"
 #include "traffic/pattern.hh"
 
 using namespace pdr;
@@ -56,7 +57,7 @@ main(int argc, char **argv)
     std::printf("%-12s %20s %20s\n", "pattern", "WH latency (acc%)",
                 "specVC latency (acc%)");
 
-    auto results = api::runSweep(exp.points());
+    auto results = exec::SweepRunner().run(exp.points());
 
     const auto &kinds = exp.axes.at(0).values;
     for (std::size_t p = 0; p < kinds.size(); p++) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -10,6 +9,7 @@
 #include <stdexcept>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "net/registry.hh"
 #include "par/partition.hh"
 #include "traffic/pattern.hh"
@@ -35,9 +35,9 @@ namespace params {
 namespace {
 
 // ---------------------------------------------------------------------
-// Value formatting / parsing.  Doubles use shortest-round-trip
-// formatting where the library provides it, so dump -> parse is
-// bit-exact.
+// Value formatting (parsing is common/parse.hh).  Doubles use
+// shortest-round-trip formatting where the library provides it, so
+// dump -> parse is bit-exact.
 // ---------------------------------------------------------------------
 
 std::string
@@ -50,71 +50,6 @@ formatDouble(double v)
 #else
     return csprintf("%.17g", v);
 #endif
-}
-
-[[noreturn]] void
-badValue(const std::string &key, const std::string &value,
-         const std::string &want)
-{
-    throw std::invalid_argument("invalid value '" + value + "' for " +
-                                key + ": expected " + want);
-}
-
-long long
-parseInt(const std::string &key, const std::string &value,
-         long long min, long long max)
-{
-    const char *s = value.c_str();
-    char *end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE)
-        badValue(key, value, "an integer");
-    if (v < min || v > max) {
-        badValue(key, value,
-                 csprintf("an integer in [%lld, %lld]", min, max));
-    }
-    return v;
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value,
-         std::uint64_t min = 0)
-{
-    const char *s = value.c_str();
-    char *end = nullptr;
-    errno = 0;
-    if (!value.empty() && value[0] == '-')
-        badValue(key, value, "a non-negative integer");
-    unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE)
-        badValue(key, value, "a non-negative integer");
-    if (v < min)
-        badValue(key, value, csprintf("an integer >= %llu", min));
-    return v;
-}
-
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    const char *s = value.c_str();
-    char *end = nullptr;
-    errno = 0;
-    double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v))
-        badValue(key, value, "a finite number");
-    return v;
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "true" || value == "1")
-        return true;
-    if (value == "false" || value == "0")
-        return false;
-    badValue(key, value, "true/false");
 }
 
 // ---------------------------------------------------------------------
@@ -405,15 +340,6 @@ defs()
          "or empty to sample without writing",
          [](const SimConfig &c) { return c.telem.out; },
          [](SimConfig &c, const std::string &v) { c.telem.out = v; }},
-        {"telem.format",
-         "telemetry stream format: 'ndjson' (records + heatmap + "
-         "summary) or 'csv' (window rows only)",
-         [](const SimConfig &c) { return c.telem.format; },
-         [](SimConfig &c, const std::string &v) {
-             if (v != "ndjson" && v != "csv")
-                 badValue("telem.format", v, "'ndjson' or 'csv'");
-             c.telem.format = v;
-         }},
         {"telem.trace",
          "Chrome trace-event JSON destination (opens in Perfetto / "
          "chrome://tracing); empty disables tracing",

@@ -29,9 +29,8 @@
  * adds an axis over any other parameter.  Each `[curve LABEL]` section
  * overrides base keys for one labelled series.  Experiment::points()
  * expands axes (outermost first) x curves (innermost) into the sweep
- * engine's point list; `pdr sweep --file <experiment>` and the ported
- * figure benches consume the same expansion, so their CSV outputs
- * match row for row.
+ * engine's point list; `pdr sweep --file <experiment>`, bench_fig16
+ * and the examples hand that list to exec::SweepRunner unchanged.
  */
 
 #ifndef PDR_API_PARAMS_HH

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include "common/logging.hh"
-#include "exec/sweep.hh"
+#include "common/parse.hh"
 #include "exec/thread_pool.hh"
 #include "par/stepper.hh"
 #include "prof/profiler.hh"
@@ -19,21 +18,12 @@ namespace pdr::api {
 void
 SimConfig::applyEnvDefaults()
 {
-    if (const char *env = std::getenv("PDR_PACKETS")) {
-        long v = std::atol(env);
-        if (v > 0)
-            net.samplePackets = std::uint64_t(v);
-    }
-    if (const char *env = std::getenv("PDR_WARMUP")) {
-        long v = std::atol(env);
-        if (v > 0)
-            net.warmup = sim::Cycle(v);
-    }
-    if (const char *env = std::getenv("PDR_MAX_CYCLES")) {
-        long v = std::atol(env);
-        if (v > 0)
-            maxCycles = sim::Cycle(v);
-    }
+    if (auto v = envCount("PDR_PACKETS"))
+        net.samplePackets = v;
+    if (auto v = envCount("PDR_WARMUP"))
+        net.warmup = sim::Cycle(v);
+    if (auto v = envCount("PDR_MAX_CYCLES"))
+        maxCycles = sim::Cycle(v);
 }
 
 bool
@@ -163,43 +153,6 @@ SimResults
 runSimulation(const SimConfig &cfg)
 {
     return simulate(cfg, kNoStop);
-}
-
-std::vector<SimResults>
-sweepLoad(SimConfig cfg, const std::vector<double> &offered_fractions)
-{
-    std::vector<exec::SweepPoint> points;
-    points.reserve(offered_fractions.size());
-    for (double f : offered_fractions) {
-        cfg.net.setOfferedFraction(f);
-        points.push_back({csprintf("%.3f", f), cfg});
-    }
-
-    // Keep each point's configured seed: a parallel run then produces
-    // exactly what the historical serial loop produced.
-    exec::SweepOptions opts;
-    opts.deriveSeeds = false;
-    auto sweep = runSweep(points, opts);
-    sweep.throwIfFailed();
-
-    std::vector<SimResults> curve;
-    curve.reserve(sweep.points.size());
-    for (auto &p : sweep.points)
-        curve.push_back(p.res);
-    return curve;
-}
-
-exec::SweepResults
-runSweep(const std::vector<exec::SweepPoint> &points)
-{
-    return exec::SweepRunner().run(points);
-}
-
-exec::SweepResults
-runSweep(const std::vector<exec::SweepPoint> &points,
-         const exec::SweepOptions &opts)
-{
-    return exec::SweepRunner(opts).run(points);
 }
 
 double

@@ -19,17 +19,10 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/network.hh"
 #include "prof/config.hh"
 #include "telem/config.hh"
-
-namespace pdr::exec {
-struct SweepPoint;
-struct SweepOptions;
-struct SweepResults;
-} // namespace pdr::exec
 
 namespace pdr::api {
 
@@ -80,7 +73,10 @@ struct SimConfig
     /**
      * Scale the sample-space size (and warm-up) from the environment:
      * PDR_PACKETS overrides samplePackets (paper value 100000; default
-     * here 30000 to keep the full bench suite minutes-scale).
+     * here 30000 to keep the full bench suite minutes-scale), and
+     * PDR_WARMUP / PDR_MAX_CYCLES override warm-up and the cycle cap.
+     * Unset or empty means no override; any other value must be a
+     * positive integer, else std::invalid_argument names the variable.
      */
     void applyEnvDefaults();
 };
@@ -126,25 +122,6 @@ struct SimResults
 
 /** Run warm-up + sample + drain; aggregate results. */
 SimResults runSimulation(const SimConfig &cfg);
-
-/**
- * A latency-throughput curve: one run per offered load point, executed
- * in parallel on the sweep engine (PDR_THREADS controls the pool; the
- * per-point results are independent of the thread count).  Every point
- * keeps cfg's seed, matching the historical serial behavior.
- */
-std::vector<SimResults>
-sweepLoad(SimConfig cfg, const std::vector<double> &offered_fractions);
-
-/**
- * Run a batch of sweep points across the fixed thread pool of
- * exec::SweepRunner and return ordered, per-point results.  Include
- * exec/sweep.hh for the point/option/result types; see that header for
- * the determinism contract (seeds derive from (base seed, index)).
- */
-exec::SweepResults runSweep(const std::vector<exec::SweepPoint> &points);
-exec::SweepResults runSweep(const std::vector<exec::SweepPoint> &points,
-                            const exec::SweepOptions &opts);
 
 /**
  * Estimate saturation throughput (fraction of capacity): the largest

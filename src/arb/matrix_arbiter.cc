@@ -4,7 +4,7 @@
 
 namespace pdr::arb {
 
-MatrixArbiter::MatrixArbiter(int n) : Arbiter(n), words_(wordsFor(n))
+MatrixArbiter::MatrixArbiter(int n) : n_(n), words_(wordsFor(n))
 {
     pdr_assert(n >= 1);
     rows_.assign(std::size_t(n) * words_, 0);
@@ -71,8 +71,8 @@ MatrixArbiter::arbitrateMask(const std::uint64_t *requests) const
 int
 MatrixArbiter::arbitrate(const ReqRow &requests) const
 {
-    // Compatibility entry (tests, round-robin-style callers): pack the
-    // byte row into words and run the mask path.
+    // Compatibility entry (tests and diagnostics): pack the byte row
+    // into words and run the mask path.
     pdr_assert(int(requests.size()) == size());
     for (int w = 0; w < words_; w++)
         pack_[w] = 0;

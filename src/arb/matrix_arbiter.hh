@@ -27,13 +27,25 @@
 namespace pdr::arb {
 
 /** Least-recently-served matrix arbiter over packed priority rows. */
-class MatrixArbiter : public Arbiter
+class MatrixArbiter
 {
   public:
     explicit MatrixArbiter(int n);
 
-    int arbitrate(const ReqRow &requests) const override;
-    void update(int winner) override;
+    /** Number of requestors. */
+    int size() const { return n_; }
+
+    /**
+     * Pick a winner among requestors (request[i] nonzero if i
+     * requests).  Does NOT update priority state; call update(winner)
+     * when the grant is actually consumed.  Returns NoGrant if no
+     * requests.
+     */
+    int arbitrate(const ReqRow &requests) const;
+
+    /** Record that `winner` consumed a grant: it drops to the lowest
+     *  priority.  NoGrant is a no-op. */
+    void update(int winner);
 
     /**
      * Arbitrate a packed request row of words() words (bit i set iff
@@ -57,6 +69,7 @@ class MatrixArbiter : public Arbiter
     void dumpState(std::vector<std::uint8_t> &out) const;
 
   private:
+    int n_;
     int words_;
     /** Row-major packed matrix: rows_[i * words_ + w] bit b set iff
      *  requestor i beats requestor 64 * w + b.  Diagonal always 0. */

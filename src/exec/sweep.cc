@@ -5,7 +5,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 #include "exec/thread_pool.hh"
 
@@ -49,10 +48,8 @@ SweepResults::toTable() const
     stats::Table t({"index", "label", "seed", "offered_fraction",
                     "accepted_fraction", "avg_latency", "p99_latency",
                     "drained", "cycles", "ok", "error"});
-    for (std::size_t i = 0; i < points.size(); i++) {
-        const auto &p = points[i];
-        std::uint64_t index = indexOffset + i;
-        t.addRow({stats::Table::cell(index), p.label,
+    for (const auto &p : points) {
+        t.addRow({stats::Table::cell(std::uint64_t(p.index)), p.label,
                   stats::Table::cell(std::uint64_t(p.cfg.net.seed)),
                   stats::Table::cell(p.res.offeredFraction),
                   stats::Table::cell(p.res.acceptedFraction),
@@ -71,10 +68,8 @@ SweepResults::telemTable() const
     stats::Table t({"index", "label", "telem_windows", "telem_flits",
                     "telem_packets", "peak_window_rate",
                     "trace_events"});
-    for (std::size_t i = 0; i < points.size(); i++) {
-        const auto &p = points[i];
-        std::uint64_t index = indexOffset + i;
-        t.addRow({stats::Table::cell(index), p.label,
+    for (const auto &p : points) {
+        t.addRow({stats::Table::cell(std::uint64_t(p.index)), p.label,
                   stats::Table::cell(p.res.telem.windows),
                   stats::Table::cell(p.res.telem.flits),
                   stats::Table::cell(p.res.telem.packets),
@@ -117,10 +112,11 @@ SweepRunner::run(const std::vector<SweepPoint> &points,
     results.threads = pool.size();
 
     for (std::size_t i = 0; i < points.size(); i++) {
-        results.points[i].label = points[i].label;
-        results.points[i].cfg = points[i].cfg;
-        if (opts_.deriveSeeds)
-            results.points[i].cfg.net.seed = pointSeed(opts_.baseSeed, i);
+        auto &slot = results.points[i];
+        slot.label = points[i].label;
+        slot.index = opts_.firstIndex + i;
+        slot.cfg = points[i].cfg;
+        slot.cfg.net.seed = pointSeed(opts_.baseSeed, slot.index);
     }
 
     // Submission order: heaviest (highest offered load) first, so the
@@ -178,106 +174,6 @@ SweepRunner::run(const std::vector<SweepPoint> &points,
 
     results.wallMs = msSince(sweep_start);
     return results;
-}
-
-SweepBuilder::SweepBuilder(api::SimConfig base) : base_(std::move(base)) {}
-
-SweepBuilder &
-SweepBuilder::model(const std::string &label, router::RouterModel model,
-                    int vcs, int buf, bool single_cycle)
-{
-    api::SimConfig cfg = base_;
-    cfg.net.router.model = model;
-    cfg.net.router.numVcs = vcs;
-    cfg.net.router.bufDepth = buf;
-    cfg.net.router.singleCycle = single_cycle;
-    return variant(label, cfg);
-}
-
-SweepBuilder &
-SweepBuilder::variant(const std::string &label, const api::SimConfig &cfg)
-{
-    variants_.push_back({label, cfg});
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::loads(std::vector<double> fractions)
-{
-    loads_ = std::move(fractions);
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::pattern(const std::string &name)
-{
-    patterns_.push_back(name);
-    return *this;
-}
-
-SweepBuilder &
-SweepBuilder::topology(int k, const std::string &topo)
-{
-    topologies_.push_back({k, topo});
-    return *this;
-}
-
-std::vector<SweepPoint>
-SweepBuilder::build() const
-{
-    // Implicit single entries for untouched axes.
-    std::vector<SweepPoint> variants = variants_;
-    if (variants.empty())
-        variants.push_back({"", base_});
-    std::vector<double> loads = loads_;
-    if (loads.empty())
-        loads.push_back(base_.net.offeredFraction());
-    std::vector<std::string> patterns = patterns_;
-    std::vector<std::pair<int, std::string>> topologies = topologies_;
-
-    std::vector<SweepPoint> points;
-    points.reserve(loads.size() * variants.size() *
-                   std::max<std::size_t>(patterns.size(), 1) *
-                   std::max<std::size_t>(topologies.size(), 1));
-
-    for (double f : loads) {
-        for (const auto &v : variants) {
-            auto expand_pattern = [&](SweepPoint pt) {
-                if (patterns.empty()) {
-                    points.push_back(std::move(pt));
-                    return;
-                }
-                for (const auto &name : patterns) {
-                    SweepPoint p = pt;
-                    p.cfg.net.pattern = name;
-                    p.label += "/" + name;
-                    points.push_back(std::move(p));
-                }
-            };
-
-            SweepPoint pt{v.label, v.cfg};
-            pt.cfg.net.setOfferedFraction(f);
-            if (!pt.label.empty())
-                pt.label += "@";
-            pt.label += csprintf("%.3f", f);
-
-            if (topologies.empty()) {
-                expand_pattern(std::move(pt));
-                continue;
-            }
-            for (const auto &[k, topo] : topologies) {
-                SweepPoint p = pt;
-                p.cfg.net.k = k;
-                p.cfg.net.topology = topo;
-                // Keep the offered fraction: the injection rate depends
-                // on the topology's capacity.
-                p.cfg.net.setOfferedFraction(f);
-                p.label += csprintf("/%s%d", topo.c_str(), k);
-                expand_pattern(std::move(p));
-            }
-        }
-    }
-    return points;
 }
 
 } // namespace pdr::exec

@@ -8,24 +8,20 @@
  * error capture (a throwing point is recorded as failed; it neither
  * kills a worker nor hangs the pool).
  *
- * Determinism: each point gets an RNG seed derived from (base seed,
- * point index) via pdr::deriveSeed, and every simulation object down
- * the stack (Network, Source, ...) is per-instance state -- there is no
- * global or static mutable state in the simulator (src/common/rng.cc
- * holds the audit's canonical mixer).  Results are therefore
- * bit-identical for any thread count or scheduling order.
+ * Determinism: SweepRunner::run is the one place that numbers and
+ * seeds points.  Point i of a run gets grid index firstIndex + i and
+ * the RNG seed pointSeed(baseSeed, firstIndex + i), and every
+ * simulation object down the stack (Network, Source, ...) is
+ * per-instance state -- there is no global or static mutable state in
+ * the simulator (src/common/rng.cc holds the audit's canonical mixer).
+ * Results are therefore bit-identical for any thread count or
+ * scheduling order, and a slice of a grid run with its own firstIndex
+ * reproduces the same rows of the whole-grid run.
  *
- * SweepBuilder expands the cross product of offered-load grids, router
- * models, traffic patterns and topologies into a point list, in the
- * deterministic order loads x (models x patterns x topologies).
+ * Typical use (points usually come from api::Experiment::points()):
  *
- * Typical use (also exposed as pdr::api::runSweep):
- *
- *   auto points = exec::SweepBuilder(base)
- *                     .model("specVC", ...)
- *                     .loads({0.1, 0.2, 0.3})
- *                     .build();
- *   auto results = exec::SweepRunner().run(points);
+ *   auto exp = api::Experiment::load("experiments/fig18.exp");
+ *   auto results = exec::SweepRunner().run(exp.points());
  *   results.toTable().writeCsv(file);
  */
 
@@ -52,6 +48,7 @@ struct SweepPoint
 struct PointResult
 {
     std::string label;
+    std::size_t index = 0;     //!< Grid index (firstIndex + position).
     api::SimConfig cfg;        //!< As run (including the derived seed).
     api::SimResults res;       //!< Valid only when ok.
     double wallMs = 0.0;       //!< Wall-clock time of this point.
@@ -65,13 +62,6 @@ struct SweepResults
     std::vector<PointResult> points;    //!< Input order.
     double wallMs = 0.0;                //!< Whole-sweep wall clock.
     int threads = 1;                    //!< Pool size used.
-    /**
-     * Global index of points[0] in the full grid this run is a slice
-     * of (0 for a whole-grid run).  toTable() adds it to the `index`
-     * column so shard CSVs carry their grid position and `pdr merge`
-     * can stitch them back together.
-     */
-    std::size_t indexOffset = 0;
 
     std::size_t failures() const;
 
@@ -103,11 +93,12 @@ struct SweepOptions
     /** Base seed each point's seed is derived from. */
     std::uint64_t baseSeed = 1;
     /**
-     * Derive per-point seeds from (baseSeed, index).  Off, every point
-     * keeps the seed already in its SimConfig (e.g. to reproduce a
-     * legacy serial sweep that reused one seed).
+     * Grid index of the first point: point i runs as grid point
+     * firstIndex + i, index and seed alike.  Nonzero when the points
+     * are one slice of a larger grid (`pdr sweep --slice`), so shard
+     * rows match the whole-grid run's and `pdr merge` can stitch them.
      */
-    bool deriveSeeds = true;
+    std::size_t firstIndex = 0;
     /**
      * Progress hook, called after each point completes with (done,
      * total, pointWallMs).  Calls are serialized under an internal
@@ -148,45 +139,6 @@ class SweepRunner
 
   private:
     SweepOptions opts_;
-};
-
-/** Expands parameter axes into a deterministic sweep point list. */
-class SweepBuilder
-{
-  public:
-    explicit SweepBuilder(api::SimConfig base);
-
-    /** Add a router-model variant (label + model/vcs/buf). */
-    SweepBuilder &model(const std::string &label,
-                        router::RouterModel model, int vcs, int buf,
-                        bool single_cycle = false);
-
-    /** Add a pre-configured variant (arbitrary config overrides). */
-    SweepBuilder &variant(const std::string &label,
-                          const api::SimConfig &cfg);
-
-    /** Sweep offered load over these fractions of capacity. */
-    SweepBuilder &loads(std::vector<double> fractions);
-
-    /** Add a traffic-pattern axis value (PatternRegistry name). */
-    SweepBuilder &pattern(const std::string &name);
-
-    /** Add a topology axis value (radix, TopologyRegistry name). */
-    SweepBuilder &topology(int k, const std::string &topo);
-
-    /**
-     * Cross product of the configured axes, ordered loads-major then
-     * variants x patterns x topologies.  Axes never touched keep the
-     * base config's value (a single implicit entry).
-     */
-    std::vector<SweepPoint> build() const;
-
-  private:
-    api::SimConfig base_;
-    std::vector<SweepPoint> variants_;
-    std::vector<double> loads_;
-    std::vector<std::string> patterns_;
-    std::vector<std::pair<int, std::string>> topologies_;
 };
 
 } // namespace pdr::exec

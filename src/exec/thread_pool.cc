@@ -1,6 +1,8 @@
 #include "exec/thread_pool.hh"
 
-#include <cstdlib>
+#include <climits>
+
+#include "common/parse.hh"
 
 namespace pdr::exec {
 
@@ -58,11 +60,8 @@ ThreadPool::resolveThreads(int requested)
 {
     if (requested > 0)
         return requested;
-    if (const char *env = std::getenv("PDR_THREADS")) {
-        long v = std::atol(env);
-        if (v > 0)
-            return int(v);
-    }
+    if (auto v = envCount("PDR_THREADS", INT_MAX))
+        return int(v);
     unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? int(hw) : 1;
 }

@@ -58,7 +58,8 @@ class ThreadPool
     /**
      * Thread count for a request: `requested` > 0 wins, then the
      * PDR_THREADS environment variable, then hardware concurrency
-     * (always at least 1).
+     * (always at least 1).  A PDR_THREADS that is set but not a
+     * positive integer throws std::invalid_argument.
      */
     static int resolveThreads(int requested = 0);
 

@@ -1,8 +1,9 @@
 #include "par/stepper.hh"
 
-#include <cstdlib>
+#include <climits>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "exec/thread_pool.hh"
 #include "prof/profiler.hh"
 
@@ -13,12 +14,8 @@ resolveWorkers(int requested)
 {
     int w = requested;
     if (w <= 0) {
-        w = 1;
-        if (const char *env = std::getenv("PDR_PAR_WORKERS")) {
-            long v = std::atol(env);
-            if (v > 0)
-                w = int(v);
-        }
+        auto v = envCount("PDR_PAR_WORKERS", INT_MAX);
+        w = v ? int(v) : 1;
     }
     // Nested parallelism: a sweep already fans simulations across a
     // pool; share the machine instead of multiplying by it.  Results

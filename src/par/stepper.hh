@@ -76,7 +76,9 @@ struct ParConfig
 /**
  * Worker threads for a network-level request: `requested` > 0 wins,
  * then PDR_PAR_WORKERS, then 1; always clamped to the per-sweep-worker
- * share of the hardware when called from inside a sweep pool.
+ * share of the hardware when called from inside a sweep pool.  A
+ * PDR_PAR_WORKERS that is set but not a positive integer throws
+ * std::invalid_argument.
  */
 int resolveWorkers(int requested = 0);
 

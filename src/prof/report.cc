@@ -1,23 +1,35 @@
 #include "prof/report.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <istream>
 #include <stdexcept>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "par/partition.hh"
 
 namespace pdr::prof {
 
 namespace {
 
-/** Per-block weight shares of a plane-aligned split. */
+/**
+ * Per-block weight shares of a plane-aligned split.  Throws
+ * std::invalid_argument unless there is one weight per router of
+ * `lat`: a stream read back against the wrong lattice would otherwise
+ * index past the weights.
+ */
 std::vector<std::uint64_t>
 planeBlockWeights(const std::vector<std::uint64_t> &weights,
                   const topo::Lattice &lat, int workers,
                   std::vector<par::Block> *blocksOut = nullptr)
 {
+    if (weights.size() != std::size_t(lat.numRouters())) {
+        throw std::invalid_argument(csprintf(
+            "the profile has %zu router weights but the lattice has %d "
+            "routers; pass the profiled run's --net.k and "
+            "--net.topology",
+            weights.size(), lat.numRouters()));
+    }
     par::Partitioner part(lat, workers, par::Scheme::Planes);
     std::vector<std::uint64_t> blockW(
         std::size_t(part.workers()), 0);
@@ -78,39 +90,56 @@ coordsOf(const topo::Lattice &lat, sim::NodeId r)
 }
 
 // ----- NDJSON parsing helpers ------------------------------------------
+//
+// Every number is parsed whole (common/parse.hh) and named by its
+// line and key, so a malformed or truncated stream is an error, never
+// a silent zero or a wild array length.
 
-bool
-extractU64(const std::string &line, const char *key,
-           std::uint64_t &out)
+std::string
+fieldName(std::size_t lineno, const char *key)
+{
+    return csprintf("profile stream line %zu \"%s\"", lineno, key);
+}
+
+/** The number after `"key": `, up to the next ',' or '}'. */
+std::uint64_t
+requireU64(const std::string &line, std::size_t lineno, const char *key)
 {
     const std::string pat = std::string("\"") + key + "\": ";
     const auto pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    out = std::strtoull(line.c_str() + pos + pat.size(), nullptr, 10);
-    return true;
+    if (pos == std::string::npos) {
+        throw std::invalid_argument(csprintf(
+            "profile stream line %zu: no \"%s\"", lineno, key));
+    }
+    const auto begin = pos + pat.size();
+    return parseU64(fieldName(lineno, key),
+                    line.substr(begin,
+                                line.find_first_of(",}", begin) - begin));
 }
 
-bool
-extractArray(const std::string &line, const char *key,
-             std::vector<std::uint64_t> &out)
+/** The numbers of `"key": [...]`. */
+std::vector<std::uint64_t>
+requireArray(const std::string &line, std::size_t lineno,
+             const char *key)
 {
     const std::string pat = std::string("\"") + key + "\": [";
     const auto pos = line.find(pat);
-    if (pos == std::string::npos)
-        return false;
-    out.clear();
-    const char *p = line.c_str() + pos + pat.size();
-    while (*p && *p != ']') {
-        char *end = nullptr;
-        out.push_back(std::strtoull(p, &end, 10));
-        if (end == p)
-            break;
-        p = end;
-        if (*p == ',')
-            p++;
+    const auto end =
+        pos == std::string::npos ? pos : line.find(']', pos);
+    if (end == std::string::npos) {
+        throw std::invalid_argument(csprintf(
+            "profile stream line %zu: no complete \"%s\" array",
+            lineno, key));
     }
-    return true;
+    const auto begin = pos + pat.size();
+    std::vector<std::uint64_t> out;
+    for (auto at = begin; at < end;) {
+        auto comma = std::min(line.find(',', at), end);
+        out.push_back(parseU64(fieldName(lineno, key),
+                               line.substr(at, comma - at)));
+        at = comma + 1;
+    }
+    return out;
 }
 
 } // namespace
@@ -134,6 +163,12 @@ std::string
 buildReport(const Capture &cap, const topo::Lattice &lat,
             const Config &cfg)
 {
+    // First, so a capture that does not fit `lat` fails before any
+    // router index is used.
+    std::vector<par::Block> blocks;
+    const auto blockW = planeBlockWeights(cap.weights, lat,
+                                          cfg.reportWorkers, &blocks);
+
     std::string out;
     out += csprintf(
         "profile: %zu window(s) over %llu cycles, %d worker(s)\n",
@@ -219,9 +254,6 @@ buildReport(const Capture &cap, const topo::Lattice &lat,
     }
 
     // ----- partition quality (deterministic verdict) -----------------
-    std::vector<par::Block> blocks;
-    const auto blockW = planeBlockWeights(cap.weights, lat,
-                                          cfg.reportWorkers, &blocks);
     out += csprintf(
         "\npartition quality (planes split, %zu analysis workers):\n",
         blockW.size());
@@ -265,38 +297,73 @@ parseStream(std::istream &in)
 {
     Capture cap;
     std::string line;
+    std::size_t lineno = 0;
     while (std::getline(in, line)) {
+        lineno++;
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
+        if (line.empty() || line.front() != '{')
+            continue;   // Not a record (e.g. text around a "-" stream).
+        if (line.back() != '}') {
+            throw std::invalid_argument(csprintf(
+                "profile stream line %zu: record is not closed "
+                "(truncated stream?)", lineno));
+        }
         if (line.find("\"type\": \"worker_window\"") !=
             std::string::npos) {
             Epoch e;
-            std::uint64_t v = 0;
-            if (extractU64(line, "cycle", v))
-                e.cycle = sim::Cycle(v);
-            if (extractU64(line, "window", v))
-                e.window = sim::Cycle(v);
-            if (extractU64(line, "workers", v))
-                cap.workers = int(v);
-            extractArray(line, "tick_us", e.tickUs);
-            extractArray(line, "drain_us", e.drainUs);
-            extractArray(line, "barrier_us", e.barrierUs);
-            extractArray(line, "idle_us", e.idleUs);
+            e.cycle = sim::Cycle(requireU64(line, lineno, "cycle"));
+            e.window = sim::Cycle(requireU64(line, lineno, "window"));
+            const std::uint64_t workers =
+                requireU64(line, lineno, "workers");
+            if (workers < 1 || workers > 512) {
+                throw std::invalid_argument(csprintf(
+                    "profile stream line %zu: \"workers\" is %llu, "
+                    "outside [1, 512]", lineno,
+                    (unsigned long long)workers));
+            }
+            if (cap.workers && int(workers) != cap.workers) {
+                throw std::invalid_argument(csprintf(
+                    "profile stream line %zu: \"workers\" is %llu, "
+                    "earlier lines had %d", lineno,
+                    (unsigned long long)workers, cap.workers));
+            }
+            cap.workers = int(workers);
+            for (auto [key, arr] :
+                 {std::pair{"tick_us", &e.tickUs},
+                  std::pair{"drain_us", &e.drainUs},
+                  std::pair{"barrier_us", &e.barrierUs},
+                  std::pair{"idle_us", &e.idleUs}}) {
+                *arr = requireArray(line, lineno, key);
+                if (arr->size() != workers) {
+                    throw std::invalid_argument(csprintf(
+                        "profile stream line %zu: \"%s\" has %zu "
+                        "entries for %llu workers", lineno, key,
+                        arr->size(), (unsigned long long)workers));
+                }
+            }
             cap.cycles = std::max(cap.cycles, e.cycle);
             cap.epochs.push_back(std::move(e));
         } else if (line.find("\"type\": \"weight_heatmap\"") !=
                    std::string::npos) {
-            std::vector<std::uint64_t> weights;
-            extractArray(line, "weights", weights);
-            std::uint64_t cycle = 0;
-            extractU64(line, "cycle", cycle);
+            const auto weights = requireArray(line, lineno, "weights");
+            const auto cycle =
+                sim::Cycle(requireU64(line, lineno, "cycle"));
+            if (!cap.weights.empty() &&
+                weights.size() != cap.weights.size()) {
+                throw std::invalid_argument(csprintf(
+                    "profile stream line %zu: %zu router weights, "
+                    "earlier lines had %zu", lineno, weights.size(),
+                    cap.weights.size()));
+            }
             // Deltas attach to the worker_window of the same cycle
             // (emitted immediately before) and telescope into the
             // end-of-run totals.
             for (auto &e : cap.epochs) {
-                if (e.cycle == sim::Cycle(cycle) && e.weights.empty())
+                if (e.cycle == cycle && e.weights.empty())
                     e.weights = weights;
             }
-            if (cap.weights.size() < weights.size())
-                cap.weights.resize(weights.size(), 0);
+            cap.weights.resize(weights.size(), 0);
             for (std::size_t r = 0; r < weights.size(); r++)
                 cap.weights[r] += weights[r];
         }
@@ -306,8 +373,6 @@ parseStream(std::istream &in)
             "no worker_window / weight_heatmap records found (was "
             "the stream written with prof.enable=true?)");
     }
-    if (!cap.workers && !cap.epochs.empty())
-        cap.workers = int(cap.epochs.front().tickUs.size());
     return cap;
 }
 

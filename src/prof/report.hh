@@ -29,19 +29,25 @@ namespace pdr::prof {
  * Tick-weight imbalance of a plane-aligned split into (up to)
  * `workers` blocks: max block weight / mean block weight.  1.0 is a
  * perfect split; W means one block carries everything.  Returns 0
- * when no router ever ticked.
+ * when no router ever ticked.  Throws std::invalid_argument unless
+ * there is exactly one weight per router of `lat`.
  */
 double weightImbalance(const std::vector<std::uint64_t> &weights,
                        const topo::Lattice &lat, int workers);
 
-/** Render the full `pdr profile` report (see file comment). */
+/** Render the full `pdr profile` report (see file comment); throws
+ *  std::invalid_argument when the capture does not fit `lat`. */
 std::string buildReport(const Capture &cap, const topo::Lattice &lat,
                         const Config &cfg);
 
 /**
  * Rebuild a Capture from an NDJSON stream containing worker_window /
  * weight_heatmap records (other record types are skipped).  Throws
- * std::runtime_error when no profiler records are present.
+ * std::invalid_argument, naming the line, on an unclosed record, a
+ * number that does not parse whole, `workers` outside [1, 512] or
+ * unlike earlier lines, a phase array whose length is not `workers`,
+ * or weight arrays of unequal length; std::runtime_error when no
+ * profiler records are present.
  */
 Capture parseStream(std::istream &in);
 

@@ -147,8 +147,10 @@ class Channel
     /**
      * Visit every in-flight item as fn(ready, item), oldest first
      * (read-only; the invariant auditor counts queue contents with
-     * this).  Staged items are not visited: the auditor only runs on
-     * the serial path, where the staging buffer is empty.
+     * this).  Staged items are not visited, and need not be: the
+     * auditor runs at every worker count, but always on worker 0 with
+     * the gang parked after the drain, when every staging buffer is
+     * empty.
      */
     template <typename Fn>
     void

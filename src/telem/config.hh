@@ -45,10 +45,6 @@ struct Config
      */
     std::string out;
 
-    /** Stream format (telem.format): "ndjson" (full records, heatmap,
-     *  summary) or "csv" (window rows only). */
-    std::string format = "ndjson";
-
     /**
      * Chrome trace-event JSON destination (telem.trace); empty
      * disables tracing.  Independent of `enable`: the trace records

@@ -8,18 +8,12 @@
 
 namespace pdr::telem {
 
-StreamSampler::StreamSampler(const Config &cfg, const net::Network &net,
-                             std::ostream *out)
-    : cfg_(cfg), net_(net), out_(out), windowEnd_(net.now()),
+StreamSampler::StreamSampler(const net::Network &net, std::ostream *out)
+    : net_(net), out_(out), windowEnd_(net.now()),
       prevSnap_(CounterSnapshot::sample(net, net.now())),
       prevLat_(net.latency()), prevFlits_(net.deliveredFlits()),
       prevPackets_(net.deliveredPackets())
 {
-    if (out_ && cfg_.format == "csv") {
-        *out_ << "cycle,window,flits,packets,rate,lat_count,lat_mean,"
-                 "lat_p50,lat_p99,pool_live,credit_stall_cycles,"
-                 "buf_occupancy\n";
-    }
 }
 
 void
@@ -58,53 +52,36 @@ StreamSampler::emitWindow(sim::Cycle at, TraceWriter *trace)
     }
 
     if (out_) {
-        if (cfg_.format == "csv") {
-            *out_ << csprintf(
-                "%llu,%llu,%llu,%llu,%.6g,%llu,%.6g,%.6g,%.6g,%zu,"
-                "%llu,%llu\n",
-                (unsigned long long)at, (unsigned long long)win,
-                (unsigned long long)dflits,
-                (unsigned long long)dpackets, rate,
-                (unsigned long long)dlat.count(), dlat.mean(),
-                dlat.percentile(50.0), dlat.percentile(99.0),
-                net_.flitPool().liveCount(),
-                (unsigned long long)d.total(
-                    std::size_t(counterIndex("credit_stall_cycles"))),
-                (unsigned long long)d.total(
-                    std::size_t(counterIndex("buf_occupancy"))));
-        } else {
-            std::string rec = csprintf(
-                "{\"type\": \"window\", \"cycle\": %llu, "
-                "\"window\": %llu, \"flits\": %llu, "
-                "\"packets\": %llu, \"rate\": %.6g, "
-                "\"lat_count\": %llu, \"lat_mean\": %.6g, "
-                "\"lat_p50\": %.6g, \"lat_p95\": %.6g, "
-                "\"lat_p99\": %.6g, \"lat_min\": %.6g, "
-                "\"lat_max\": %.6g, \"pool_live\": %zu",
-                (unsigned long long)at, (unsigned long long)win,
-                (unsigned long long)dflits,
-                (unsigned long long)dpackets, rate,
-                (unsigned long long)dlat.count(), dlat.mean(),
-                dlat.percentile(50.0), dlat.percentile(95.0),
-                dlat.percentile(99.0), dlat.min(), dlat.max(),
-                net_.flitPool().liveCount());
-            for (std::size_t c = 0; c < cat.size(); c++) {
-                rec += csprintf(", \"%s\": %llu", cat[c].name,
-                                (unsigned long long)d.total(c));
-            }
-            // Per-router activity in the window (flits forwarded):
-            // one array entry per router, index order -- the windowed
-            // form of the teardown heatmap.
-            const std::size_t fo =
-                std::size_t(counterIndex("flits_out"));
-            rec += ", \"router_flits\": [";
-            for (std::size_t r = 0; r < d.numRouters(); r++) {
-                rec += csprintf("%s%llu", r ? "," : "",
-                                (unsigned long long)d.value(r, fo));
-            }
-            rec += "]}";
-            *out_ << rec << "\n";
+        std::string rec = csprintf(
+            "{\"type\": \"window\", \"cycle\": %llu, "
+            "\"window\": %llu, \"flits\": %llu, "
+            "\"packets\": %llu, \"rate\": %.6g, "
+            "\"lat_count\": %llu, \"lat_mean\": %.6g, "
+            "\"lat_p50\": %.6g, \"lat_p95\": %.6g, "
+            "\"lat_p99\": %.6g, \"lat_min\": %.6g, "
+            "\"lat_max\": %.6g, \"pool_live\": %zu",
+            (unsigned long long)at, (unsigned long long)win,
+            (unsigned long long)dflits,
+            (unsigned long long)dpackets, rate,
+            (unsigned long long)dlat.count(), dlat.mean(),
+            dlat.percentile(50.0), dlat.percentile(95.0),
+            dlat.percentile(99.0), dlat.min(), dlat.max(),
+            net_.flitPool().liveCount());
+        for (std::size_t c = 0; c < cat.size(); c++) {
+            rec += csprintf(", \"%s\": %llu", cat[c].name,
+                            (unsigned long long)d.total(c));
         }
+        // Per-router activity in the window (flits forwarded): one
+        // array entry per router, index order -- the windowed form of
+        // the teardown heatmap.
+        const std::size_t fo = std::size_t(counterIndex("flits_out"));
+        rec += ", \"router_flits\": [";
+        for (std::size_t r = 0; r < d.numRouters(); r++) {
+            rec += csprintf("%s%llu", r ? "," : "",
+                            (unsigned long long)d.value(r, fo));
+        }
+        rec += "]}";
+        *out_ << rec << "\n";
     }
 
     windowEnd_ = at;
@@ -150,7 +127,7 @@ StreamSampler::finish(sim::Cycle end, TraceWriter *trace)
     summary_.flits = prevFlits_;
     summary_.packets = prevPackets_;
 
-    if (out_ && cfg_.format != "csv") {
+    if (out_) {
         emitHeatmap(end);
         *out_ << csprintf(
             "{\"type\": \"summary\", \"cycles\": %llu, "
@@ -161,9 +138,8 @@ StreamSampler::finish(sim::Cycle end, TraceWriter *trace)
             (unsigned long long)summary_.flits,
             (unsigned long long)summary_.packets,
             summary_.peakWindowRate);
-    }
-    if (out_)
         out_->flush();
+    }
 }
 
 } // namespace pdr::telem

@@ -9,10 +9,10 @@
  * run summary record.
  *
  * Records are NDJSON (one JSON object per line; "window" records
- * during the run, "router" heatmap rows and one "summary" at the end)
- * or CSV (window rows only).  Sampling happens at safe points only --
- * serial steps or the post-drain barrier with the gang parked, on the
- * stepping thread -- and reads simulation state without mutating it.
+ * during the run, "router" heatmap rows and one "summary" at the
+ * end).  Sampling happens at safe points only -- serial steps or the
+ * post-drain barrier with the gang parked, on the stepping thread --
+ * and reads simulation state without mutating it.
  * All emitted values are pure functions of simulation state, so the
  * stream is byte-identical across worker counts.
  */
@@ -34,18 +34,18 @@ namespace pdr::telem {
 
 class TraceWriter;
 
-/** The windowed NDJSON/CSV record stream; see file comment. */
+/** The windowed NDJSON record stream; see file comment. */
 class StreamSampler
 {
   public:
     /**
-     * Baselines the window state at net.now(); the first window ends
-     * `cfg.interval` cycles later.  `out` may be nullptr: records are
-     * then computed (and the summary filled) but not written, which
-     * is what the overhead A/B and the bit-identity tests run.
+     * Baselines the window state at net.now(); the owner ends each
+     * window (every telem.interval cycles) with sampleWindow().  `out`
+     * may be nullptr: records are then computed (and the summary
+     * filled) but not written, which is what the overhead A/B and the
+     * bit-identity tests run.
      */
-    StreamSampler(const Config &cfg, const net::Network &net,
-                  std::ostream *out);
+    StreamSampler(const net::Network &net, std::ostream *out);
 
     /**
      * Emit the record of the window ending at cycle `at`.  `at` must
@@ -65,7 +65,6 @@ class StreamSampler
     void emitWindow(sim::Cycle at, TraceWriter *trace);
     void emitHeatmap(sim::Cycle end);
 
-    Config cfg_;
     const net::Network &net_;
     std::ostream *out_;
 

@@ -11,11 +11,6 @@ namespace pdr::telem {
 void
 Config::validate() const
 {
-    if (format != "ndjson" && format != "csv") {
-        throw std::invalid_argument(
-            "telem.format must be 'ndjson' or 'csv', got '" + format +
-            "'");
-    }
     if (interval < 1) {
         throw std::invalid_argument(
             "telem.interval must be >= 1 cycle");
@@ -31,8 +26,8 @@ bool
 operator==(const Config &a, const Config &b)
 {
     return a.enable == b.enable && a.interval == b.interval &&
-           a.out == b.out && a.format == b.format &&
-           a.trace == b.trace && a.tracePackets == b.tracePackets;
+           a.out == b.out && a.trace == b.trace &&
+           a.tracePackets == b.tracePackets;
 }
 
 // ----- HostProfiler ----------------------------------------------------
@@ -138,8 +133,7 @@ Telemetry::Telemetry(const Config &cfg, net::Network &net,
     }
 
     if (cfg_.enable)
-        sampler_ =
-            std::make_unique<StreamSampler>(cfg_, net_, streamOut_);
+        sampler_ = std::make_unique<StreamSampler>(net_, streamOut_);
 
     // The profiler rides the telemetry cadence: a profiled run has
     // sampling epochs even with the stream sampler and trace off.
@@ -199,7 +193,7 @@ Telemetry::emitProfEpoch(const prof::Epoch &e)
     const double barrierFrac =
         sumAll ? double(sumBar) / double(sumAll) : 0.0;
 
-    if (streamOut_ && cfg_.format == "ndjson") {
+    if (streamOut_) {
         // worker_window: host wall time per worker and phase --
         // inherently nondeterministic (wall clock), unlike every
         // sim-derived record in this stream.

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "api/params.hh"
+#include "exec/sweep.hh"
 
 using namespace pdr;
 using api::Experiment;
@@ -158,7 +159,7 @@ TEST(Experiment, ValidateChecksEveryPoint)
 TEST(Experiment, PointsRunThroughTheSweepEngine)
 {
     auto exp = Experiment::parse(kText);
-    auto results = api::runSweep(exp.points());
+    auto results = exec::SweepRunner().run(exp.points());
     ASSERT_EQ(results.points.size(), 6u);
     results.throwIfFailed();
     for (const auto &p : results.points) {

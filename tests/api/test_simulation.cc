@@ -4,6 +4,8 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "api/simulation.hh"
 
@@ -54,10 +56,11 @@ TEST(ApiSimulation, SaturatedHeuristic)
     EXPECT_TRUE(r.saturated());
 }
 
-TEST(ApiSimulation, SweepLoadProducesMonotoneLatency)
+TEST(ApiSimulation, LatencyRisesWithLoad)
 {
-    auto curve = api::sweepLoad(tinyConfig(), {0.1, 0.3, 0.5});
-    ASSERT_EQ(curve.size(), 3u);
+    std::vector<api::SimResults> curve;
+    for (double f : {0.1, 0.3, 0.5})
+        curve.push_back(api::runSimulation(tinyConfig(f)));
     EXPECT_LE(curve[0].avgLatency, curve[1].avgLatency + 0.5);
     EXPECT_LE(curve[1].avgLatency, curve[2].avgLatency + 0.5);
     EXPECT_NEAR(curve[0].offeredFraction, 0.1, 1e-9);
@@ -134,6 +137,25 @@ TEST(ApiSimulation, EnvOverrides)
     api::SimConfig fresh;
     auto keep = fresh.net.samplePackets;
     fresh.applyEnvDefaults();
+    EXPECT_EQ(fresh.net.samplePackets, keep);
+
+    // Empty means no override; anything but a positive integer is an
+    // error naming the variable, never a silent prefix or default.
+    setenv("PDR_PACKETS", "", 1);
+    fresh.applyEnvDefaults();
+    EXPECT_EQ(fresh.net.samplePackets, keep);
+    for (const char *bad : {"300x", "abc", "0", "-5"}) {
+        setenv("PDR_PACKETS", bad, 1);
+        try {
+            fresh.applyEnvDefaults();
+            ADD_FAILURE() << "PDR_PACKETS=" << bad << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("PDR_PACKETS"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    unsetenv("PDR_PACKETS");
     EXPECT_EQ(fresh.net.samplePackets, keep);
 }
 

@@ -10,7 +10,7 @@ namespace pdr::arb {
 // ScalarMatrixArbiter: the dense byte-matrix implementation, verbatim.
 // ---------------------------------------------------------------------
 
-ScalarMatrixArbiter::ScalarMatrixArbiter(int n) : Arbiter(n)
+ScalarMatrixArbiter::ScalarMatrixArbiter(int n) : n_(n)
 {
     pdr_assert(n >= 1);
     // i beats j initially for all i < j.

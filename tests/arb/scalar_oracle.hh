@@ -22,13 +22,15 @@
 namespace pdr::arb {
 
 /** The dense upper-triangular matrix arbiter (pre-bitmask layout). */
-class ScalarMatrixArbiter : public Arbiter
+class ScalarMatrixArbiter
 {
   public:
     explicit ScalarMatrixArbiter(int n);
 
-    int arbitrate(const ReqRow &requests) const override;
-    void update(int winner) override;
+    int size() const { return n_; }
+
+    int arbitrate(const ReqRow &requests) const;
+    void update(int winner);
 
     bool beats(int i, int j) const;
 
@@ -36,6 +38,7 @@ class ScalarMatrixArbiter : public Arbiter
     void dumpState(std::vector<std::uint8_t> &out) const;
 
   private:
+    int n_;
     /** Upper-triangular storage: m_[idx(i,j)] nonzero means i beats j,
      *  for i < j. */
     std::vector<std::uint8_t> m_;

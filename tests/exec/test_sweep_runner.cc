@@ -91,6 +91,44 @@ TEST(SweepRunner, BitIdenticalAcrossThreadCounts)
 
     expectIdentical(r1, r2);
     expectIdentical(r1, r8);
+
+    // The pool adds nothing to a point: each pooled result is exactly
+    // the serial api::runSimulation of the config it ran as.
+    for (const auto &p : r2.points) {
+        auto ref = api::runSimulation(p.cfg);
+        EXPECT_EQ(p.res.avgLatency, ref.avgLatency) << p.index;
+        EXPECT_EQ(p.res.acceptedFraction, ref.acceptedFraction) << p.index;
+        EXPECT_EQ(p.res.cycles, ref.cycles) << p.index;
+    }
+}
+
+TEST(SweepRunner, FirstIndexMakesASliceReproduceItsRows)
+{
+    auto points = tinyGrid();
+    SweepOptions full_opts;
+    full_opts.baseSeed = 9;
+    auto full = SweepRunner(full_opts).run(points);
+
+    // Points [2, 4) run on their own as grid points 2 and 3.
+    SweepOptions slice_opts = full_opts;
+    slice_opts.firstIndex = 2;
+    std::vector<SweepPoint> tail_points(points.begin() + 2, points.end());
+    auto slice = SweepRunner(slice_opts).run(tail_points);
+
+    ASSERT_EQ(slice.points.size(), 2u);
+    exec::SweepResults tail;
+    tail.points.assign(full.points.begin() + 2, full.points.end());
+    expectIdentical(tail, slice);
+    for (std::size_t i = 0; i < 2; i++) {
+        EXPECT_EQ(slice.points[i].index, 2 + i);
+        EXPECT_EQ(slice.points[i].cfg.net.seed,
+                  SweepRunner::pointSeed(9, 2 + i));
+    }
+    // Exported, the slice's rows are the full table's last two rows.
+    std::string full_csv = full.toTable().toCsv();
+    std::string slice_csv = slice.toTable().toCsv();
+    std::string body = slice_csv.substr(slice_csv.find('\n') + 1);
+    EXPECT_EQ(full_csv.substr(full_csv.size() - body.size()), body);
 }
 
 TEST(SweepRunner, BaseSeedChangesResults)
@@ -179,61 +217,6 @@ TEST(SweepRunner, PointSeedsAreDistinctAndStable)
     EXPECT_EQ(seen.size(), 1000u);
     EXPECT_EQ(SweepRunner::pointSeed(7, 3), SweepRunner::pointSeed(7, 3));
     EXPECT_NE(SweepRunner::pointSeed(7, 3), SweepRunner::pointSeed(8, 3));
-}
-
-TEST(SweepRunner, SweepLoadMatchesSerialReference)
-{
-    auto cfg = tinyConfig();
-    std::vector<double> loads{0.1, 0.3};
-    auto curve = api::sweepLoad(cfg, loads);
-    ASSERT_EQ(curve.size(), 2u);
-
-    for (std::size_t i = 0; i < loads.size(); i++) {
-        auto ref_cfg = cfg;
-        ref_cfg.net.setOfferedFraction(loads[i]);
-        auto ref = api::runSimulation(ref_cfg);
-        EXPECT_EQ(curve[i].avgLatency, ref.avgLatency);
-        EXPECT_EQ(curve[i].cycles, ref.cycles);
-    }
-}
-
-TEST(SweepBuilder, CrossProductOrderAndLabels)
-{
-    auto points = exec::SweepBuilder(tinyConfig())
-                      .model("wh", RouterModel::Wormhole, 1, 8)
-                      .model("vc", RouterModel::VirtualChannel, 2, 4)
-                      .loads({0.1, 0.2})
-                      .build();
-    ASSERT_EQ(points.size(), 4u);
-    EXPECT_EQ(points[0].label, "wh@0.100");
-    EXPECT_EQ(points[1].label, "vc@0.100");
-    EXPECT_EQ(points[2].label, "wh@0.200");
-    EXPECT_EQ(points[3].label, "vc@0.200");
-    EXPECT_EQ(points[1].cfg.net.router.model,
-              RouterModel::VirtualChannel);
-    EXPECT_NEAR(points[2].cfg.net.offeredFraction(), 0.2, 1e-9);
-}
-
-TEST(SweepBuilder, TopologyAxisPreservesOfferedFraction)
-{
-    auto cfg = tinyConfig();
-    cfg.net.router.numVcs = 2;
-    auto points = exec::SweepBuilder(cfg)
-                      .loads({0.4})
-                      .topology(4, "mesh")
-                      .topology(4, "torus")
-                      .build();
-    ASSERT_EQ(points.size(), 2u);
-    EXPECT_EQ(points[0].cfg.net.topology, "mesh");
-    EXPECT_EQ(points[1].cfg.net.topology, "torus");
-    EXPECT_EQ(points[0].label, "0.400/mesh4");
-    EXPECT_EQ(points[1].label, "0.400/torus4");
-    // Same fraction of each topology's own capacity.
-    EXPECT_NEAR(points[0].cfg.net.offeredFraction(), 0.4, 1e-9);
-    EXPECT_NEAR(points[1].cfg.net.offeredFraction(), 0.4, 1e-9);
-    // Torus capacity is double, so the raw rate differs.
-    EXPECT_GT(points[1].cfg.net.injectionRate,
-              points[0].cfg.net.injectionRate);
 }
 
 TEST(SweepResults, TableExportHasOneRowPerPoint)

@@ -106,7 +106,16 @@ TEST(ThreadPool, ResolveThreadsPrefersExplicitThenEnv)
     EXPECT_EQ(ThreadPool::resolveThreads(0), 5);
     EXPECT_EQ(ThreadPool::resolveThreads(2), 2);
 
-    setenv("PDR_THREADS", "garbage", 1);
+    // Anything but a positive integer is an error naming the variable,
+    // not a silent fallback to the default pool; an explicit request
+    // never reads it, and empty means unset.
+    for (const char *bad : {"garbage", "4x", "0", "-3"}) {
+        SCOPED_TRACE(bad);
+        setenv("PDR_THREADS", bad, 1);
+        EXPECT_THROW(ThreadPool::resolveThreads(0), std::invalid_argument);
+        EXPECT_EQ(ThreadPool::resolveThreads(2), 2);
+    }
+    setenv("PDR_THREADS", "", 1);
     EXPECT_GE(ThreadPool::resolveThreads(0), 1);
 
     unsetenv("PDR_THREADS");

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/simulation.hh"
 #include "prof/report.hh"
@@ -243,6 +244,115 @@ TEST(Prof, StreamRoundTripsThroughParser)
                   res.prof->epochs[e].weights);
         EXPECT_EQ(parsed.epochs[e].tickUs, res.prof->epochs[e].tickUs);
     }
+}
+
+TEST(Prof, MalformedStreamsAreNamedErrors)
+{
+    // `pdr profile --from` reads whatever file it is given: every
+    // malformed or truncated stream, and a stream read against the
+    // wrong lattice, must end in an exception -- never an
+    // out-of-bounds read, a wild allocation or a nonsense report.
+    const std::string out = "pdr_test_prof_malformed.ndjson";
+    api::SimConfig cfg = tinyConfig();
+    cfg.prof.enable = true;
+    cfg.telem.out = out;
+    cfg.telem.interval = 500;
+    api::runSimulation(cfg);
+    std::string stream;
+    {
+        std::ifstream in(out);
+        ASSERT_TRUE(bool(in));
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        stream = ss.str();
+    }
+    std::remove(out.c_str());
+
+    auto lattice = [&](int k) {
+        auto c = cfg;
+        c.net.k = k;
+        return c.net.makeLattice();
+    };
+    auto report = [&](const std::string &text, int k) {
+        std::istringstream in(text);
+        return prof::buildReport(prof::parseStream(in), lattice(k),
+                                 cfg.prof);
+    };
+    ASSERT_NO_THROW(report(stream, 4));
+
+    const std::string phases =
+        "\"drain_us\": [0], \"barrier_us\": [0], \"idle_us\": [0]}";
+    auto ww = [&](const std::string &head) {
+        return "{\"type\": \"worker_window\", " + head + phases + "\n";
+    };
+    const std::string okWw =
+        ww("\"cycle\": 5, \"window\": 5, \"workers\": 1, "
+           "\"tick_us\": [1], ");
+    auto hm = [](const std::string &weights) {
+        return "{\"type\": \"weight_heatmap\", \"cycle\": 5, "
+               "\"window\": 5, \"weights\": [" + weights + "]}\n";
+    };
+    const std::string w16 = "1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1";
+
+    struct Case
+    {
+        std::string what;
+        std::string text;
+        int k;
+    };
+    std::vector<Case> cases = {
+        {"k=4 stream read as k=8", stream, 8},
+        {"k=4 stream read as k=16", stream, 16},
+        {"lone unclosed record",
+         "{\"type\": \"worker_window\", \"cycle\": 5", 4},
+        {"huge worker count",
+         ww("\"cycle\": 5, \"window\": 5, \"workers\": 99999999999, "
+            "\"tick_us\": [1], "), 4},
+        {"zero workers",
+         ww("\"cycle\": 5, \"window\": 5, \"workers\": 0, "
+            "\"tick_us\": [], "), 4},
+        {"phase array longer than workers",
+         ww("\"cycle\": 5, \"window\": 5, \"workers\": 1, "
+            "\"tick_us\": [1,2], ") + hm(w16), 4},
+        {"workers change between lines",
+         okWw + ww("\"cycle\": 6, \"window\": 1, \"workers\": 2, "
+                   "\"tick_us\": [1,2], "), 4},
+        {"trailing garbage in a number",
+         ww("\"cycle\": 5x, \"window\": 5, \"workers\": 1, "
+            "\"tick_us\": [1], ") + hm(w16), 4},
+        {"negative number",
+         ww("\"cycle\": -5, \"window\": 5, \"workers\": 1, "
+            "\"tick_us\": [1], ") + hm(w16), 4},
+        {"overflowing number",
+         ww("\"cycle\": 99999999999999999999, \"window\": 5, "
+            "\"workers\": 1, \"tick_us\": [1], ") + hm(w16), 4},
+        {"missing key",
+         ww("\"window\": 5, \"workers\": 1, \"tick_us\": [1], ") +
+             hm(w16), 4},
+        {"empty array cell", okWw + hm("1,,1"), 4},
+        {"unclosed array",
+         "{\"type\": \"weight_heatmap\", \"cycle\": 5, "
+         "\"weights\": [1,2}\n", 4},
+        {"weight arrays of unequal length",
+         okWw + hm(w16) + hm("1,1,1,1,1,1,1,1,1,1,1,1,1,1,1"), 4},
+        {"worker windows without weights", okWw, 4},
+    };
+
+    // The real stream cut inside each of its lines: after the opening
+    // brace, halfway, and just before the closing brace.
+    for (std::size_t start = 0, n = 0; start < stream.size(); n++) {
+        const std::size_t len = stream.find('\n', start) - start;
+        for (std::size_t cut : {std::size_t(1), len / 2, len - 1}) {
+            cases.push_back({"stream cut in line " + std::to_string(n) +
+                                 " at byte " + std::to_string(cut),
+                             stream.substr(0, start + cut), 4});
+        }
+        start += len + 1;
+    }
+    ASSERT_GT(cases.size(), 20u);
+
+    for (const auto &c : cases)
+        EXPECT_THROW(report(c.text, c.k), std::exception) << c.what;
 }
 
 TEST(Prof, StreamByteIdenticalHeatmapAcrossWorkers)

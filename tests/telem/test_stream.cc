@@ -217,39 +217,10 @@ TEST(Stream, WindowFlitsTelescopeToSummary)
     EXPECT_EQ(rsum, res.routers.flitsOut);
 }
 
-TEST(Stream, CsvFormatEmitsHeaderAndRows)
-{
-    std::string out = tmpPath("csv");
-    api::SimConfig cfg = tinyConfig();
-    cfg.telem.enable = true;
-    cfg.telem.interval = 400;
-    cfg.telem.format = "csv";
-    cfg.telem.out = out;
-
-    auto res = api::runSimulation(cfg);
-    std::string text = slurp(out);
-    std::remove(out.c_str());
-
-    ASSERT_FALSE(text.empty());
-    std::istringstream lines(text);
-    std::string header;
-    ASSERT_TRUE(std::getline(lines, header));
-    EXPECT_EQ(header.rfind("cycle,window,flits,packets,rate", 0), 0u);
-    std::size_t rows = 0;
-    std::string line;
-    while (std::getline(lines, line))
-        rows++;
-    EXPECT_EQ(rows, std::size_t(res.telem.windows));
-}
-
 TEST(Stream, ConfigValidates)
 {
     telem::Config c;
     c.enable = true;
-    EXPECT_NO_THROW(c.validate());
-    c.format = "xml";
-    EXPECT_THROW(c.validate(), std::exception);
-    c.format = "csv";
     EXPECT_NO_THROW(c.validate());
     c.interval = 0;
     EXPECT_THROW(c.validate(), std::exception);

@@ -182,6 +182,38 @@ TEST(PdrCli, UnknownKeyFailsNamingIt)
         << res.out;
 }
 
+TEST(PdrCli, MalformedNumbersFailNamingTheirSource)
+{
+    // Flags and PDR_* counts parse whole or fail: no silent prefix
+    // (--seed=12abc as 12), zero (--seed=abc) or default pool.
+    struct Case
+    {
+        const char *args;
+        const char *env;
+        const char *name;
+    };
+    for (const Case &c :
+         {Case{"run --seed=abc", "", "--seed"},
+          Case{"run --seed=12abc", "", "--seed"},
+          Case{"sweep --threads=abc", "", "--threads"},
+          Case{"sweep --threads=-3", "", "--threads"},
+          Case{"diff --tolerance=abc a.csv b.csv", "", "--tolerance"},
+          Case{"sweep --slice=0/2x", "", "--slice"},
+          Case{"run", "PDR_PACKETS=300x", "PDR_PACKETS"},
+          Case{"run", "PDR_WARMUP=abc", "PDR_WARMUP"},
+          Case{"run", "PDR_MAX_CYCLES=-1", "PDR_MAX_CYCLES"},
+          Case{"sweep --net.k=4 --sweep.loads=0.1", "PDR_THREADS=abc",
+               "PDR_THREADS"},
+          Case{"sweep --net.k=4 --sweep.loads=0.1", "PDR_PAR_WORKERS=2x",
+               "PDR_PAR_WORKERS"}}) {
+        auto res = run(c.args, c.env);
+        EXPECT_EQ(res.status, 1) << c.env << " " << c.args;
+        EXPECT_NE(res.out.find("pdr: error:"), std::string::npos)
+            << res.out;
+        EXPECT_NE(res.out.find(c.name), std::string::npos) << res.out;
+    }
+}
+
 TEST(PdrCli, RunPrintsResultFields)
 {
     auto res = run("run --net.k=4 --router.model=specVC "

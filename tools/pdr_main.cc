@@ -21,6 +21,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -36,9 +37,11 @@
 #include "api/params.hh"
 #include "api/simulation.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "exec/progress.hh"
 #include "exec/sweep.hh"
 #include "net/registry.hh"
+#include "par/stepper.hh"
 #include "prof/report.hh"
 #include "traffic/pattern.hh"
 
@@ -106,7 +109,7 @@ usage(FILE *out)
         "the\n"
         "                     per-point totals land in "
         "PATH.summary.csv\n"
-        "                     (telem.* keys tune interval/format)\n"
+        "                     (telem.* keys tune the interval)\n"
         "  --trace PATH       run: write a Chrome trace-event JSON "
         "(opens in\n"
         "                     Perfetto / chrome://tracing) to PATH\n"
@@ -185,10 +188,10 @@ parseArgs(int argc, char **argv, Options &opt)
             else if (i + 1 < argc && argv[i + 1][0] != '-')
                 opt.jsonPath = argv[++i];
         } else if (arg == "--threads") {
-            opt.threads = std::atoi(want_value("--threads").c_str());
+            opt.threads = int(parseInt("--threads", want_value("--threads"),
+                                       0, INT_MAX));
         } else if (arg == "--seed") {
-            opt.seed = std::strtoull(want_value("--seed").c_str(),
-                                     nullptr, 10);
+            opt.seed = parseU64("--seed", want_value("--seed"));
         } else if (arg == "--telem") {
             opt.telemPath = want_value("--telem");
         } else if (arg == "--trace") {
@@ -198,26 +201,20 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--from") {
             opt.fromPath = want_value("--from");
         } else if (arg == "--tolerance") {
-            opt.tolerance = std::atof(want_value("--tolerance").c_str());
+            opt.tolerance = parseDouble("--tolerance",
+                                        want_value("--tolerance"));
         } else if (arg == "--slice") {
             std::string v = want_value("--slice");
             auto slash = v.find('/');
-            char *iend = nullptr, *nend = nullptr;
-            long idx = std::strtol(v.c_str(), &iend, 10);
-            long n = slash == std::string::npos
-                         ? 0
-                         : std::strtol(v.c_str() + slash + 1, &nend,
-                                       10);
-            if (slash == std::string::npos || iend == v.c_str() ||
-                iend != v.c_str() + slash ||
-                nend == v.c_str() + slash + 1 || *nend != '\0' ||
-                n < 1 || idx < 0 || idx >= n) {
+            if (slash == std::string::npos) {
                 throw std::invalid_argument(
                     "--slice wants I/N with 0 <= I < N, got '" + v +
                     "'");
             }
-            opt.sliceIndex = int(idx);
-            opt.sliceCount = int(n);
+            opt.sliceCount = int(parseInt("--slice", v.substr(slash + 1),
+                                          1, INT_MAX));
+            opt.sliceIndex = int(parseInt("--slice", v.substr(0, slash),
+                                          0, opt.sliceCount - 1));
         } else if (has_inline && arg.rfind("--", 0) == 0) {
             opt.overrides.push_back({arg.substr(2), inline_value});
         } else if (arg.rfind("--", 0) != 0) {
@@ -383,31 +380,29 @@ cmdSweep(const Options &opt)
     if (points.empty())
         throw std::invalid_argument("experiment expands to no points");
 
+    // PDR_PAR_WORKERS is read per point when par.workers = 0: check
+    // it once, so a malformed value is one named error rather than a
+    // failure on every point.
+    par::resolveWorkers(0);
+
     exec::SweepOptions sweep_opts;
     sweep_opts.threads = opt.threads;
     sweep_opts.baseSeed = opt.seed;
     sweep_opts.onPointDone = exec::makeProgressLine();
 
-    // --slice I/N: run one contiguous block of the expanded grid.
-    // Seeds are assigned from the *global* point index before slicing,
-    // so every shard row is byte-identical to the same row of an
-    // unsliced run and `pdr merge` reassembles exactly the full table.
-    std::size_t slice_lo = 0;
+    // --slice I/N: run one contiguous block of the expanded grid.  The
+    // runner numbers and seeds points from firstIndex, so every shard
+    // row is byte-identical to the same row of an unsliced run and
+    // `pdr merge` reassembles exactly the full table.
     if (opt.sliceCount > 0) {
-        std::size_t total = points.size();
-        for (std::size_t i = 0; i < total; i++) {
-            points[i].cfg.net.seed =
-                exec::SweepRunner::pointSeed(opt.seed, i);
-        }
-        sweep_opts.deriveSeeds = false;
-        slice_lo = total * std::size_t(opt.sliceIndex) /
-                   std::size_t(opt.sliceCount);
-        std::size_t slice_hi = total *
-                               (std::size_t(opt.sliceIndex) + 1) /
-                               std::size_t(opt.sliceCount);
+        const std::size_t total = points.size();
+        const auto slice = [&](int i) {
+            return total * std::size_t(i) / std::size_t(opt.sliceCount);
+        };
+        sweep_opts.firstIndex = slice(opt.sliceIndex);
         points = std::vector<exec::SweepPoint>(
-            points.begin() + std::ptrdiff_t(slice_lo),
-            points.begin() + std::ptrdiff_t(slice_hi));
+            points.begin() + std::ptrdiff_t(sweep_opts.firstIndex),
+            points.begin() + std::ptrdiff_t(slice(opt.sliceIndex + 1)));
         if (points.empty()) {
             throw std::invalid_argument(csprintf(
                 "slice %d/%d of this %zu-point experiment is empty",
@@ -416,20 +411,18 @@ cmdSweep(const Options &opt)
     }
 
     // --telem PREFIX: every point streams into its own file, named by
-    // the *global* grid index so sliced shards never collide and a
-    // point's stream is byte-identical however the sweep was sharded.
+    // its grid index so sliced shards never collide and a point's
+    // stream is byte-identical however the sweep was sharded.
     if (!opt.telemPath.empty()) {
         for (std::size_t i = 0; i < points.size(); i++) {
             auto &t = points[i].cfg.telem;
             t.enable = true;
-            t.out = csprintf("%s.%zu.%s", opt.telemPath.c_str(),
-                             slice_lo + i,
-                             t.format == "csv" ? "csv" : "ndjson");
+            t.out = csprintf("%s.%zu.ndjson", opt.telemPath.c_str(),
+                             sweep_opts.firstIndex + i);
         }
     }
 
-    auto results = api::runSweep(points, sweep_opts);
-    results.indexOffset = slice_lo;
+    auto results = exec::SweepRunner(sweep_opts).run(points);
 
     writeTable(results.toTable(), opt.json,
                opt.json ? opt.jsonPath : opt.csvPath);
@@ -443,7 +436,7 @@ cmdSweep(const Options &opt)
         }
         results.telemTable().writeCsv(f);
         std::fprintf(stderr, "telem: %zu per-point stream(s) at "
-                     "%s.<index>.*, summary at %s\n",
+                     "%s.<index>.ndjson, summary at %s\n",
                      results.points.size(), opt.telemPath.c_str(),
                      summary_path.c_str());
     }
@@ -633,14 +626,8 @@ cmdMerge(const Options &opt)
                 throw std::invalid_argument(
                     "'" + path + "': row with no index cell");
             }
-            const std::string &tok = cells[index_col];
-            char *end = nullptr;
             std::uint64_t idx =
-                std::strtoull(tok.c_str(), &end, 10);
-            if (end == tok.c_str() || *end != '\0') {
-                throw std::invalid_argument(
-                    "'" + path + "': bad index '" + tok + "'");
-            }
+                parseU64("'" + path + "' index", cells[index_col]);
             auto [it, inserted] =
                 rows.insert({idx, {std::move(cells), &path}});
             if (!inserted) {
