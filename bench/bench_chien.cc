@@ -19,9 +19,7 @@
 
 #include "api/params.hh"
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "delay/chien.hh"
-#include "exec/thread_pool.hh"
 #include "pipeline/designer.hh"
 
 using namespace pdr;
@@ -57,8 +55,7 @@ main()
     std::printf("%-6s %14s %20s %16s %14s\n", "v", "Chien cyc=lat",
                 "PD stages@20tau4", "per-hop ratio", "bandwidth x");
 
-    // Evaluate the v-axis on the sweep engine's pool, print in order.
-    auto rows = exec::parallelMap(vcs, [&](int v) {
+    for (int v : vcs) {
         double chien_lat = chien::routerLatency(p, v, w).inTau4();
 
         pipeline::PipelineDesign d;
@@ -74,12 +71,10 @@ main()
         }
         double pd_lat = 20.0 * d.depth();
 
-        return csprintf("%-6d %11.1f t4 %13d stages %15.2f %13.2fx",
-                        v, chien_lat, d.depth(), chien_lat / pd_lat,
-                        chien_lat / 20.0);
-    });
-    for (const auto &row : rows)
-        std::printf("%s\n", row.c_str());
+        std::printf("%-6d %11.1f t4 %13d stages %15.2f %13.2fx\n", v,
+                    chien_lat, d.depth(), chien_lat / pd_lat,
+                    chien_lat / 20.0);
+    }
     std::printf("\nper-hop ratio < 1 would favor Chien's unpipelined "
                 "router; bandwidth x is how\nmany times faster the "
                 "pipelined router clocks its channels (flits/s per "

@@ -14,11 +14,9 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_util.hh"
 #include "common/logging.hh"
-#include "exec/thread_pool.hh"
 #include "pipeline/designer.hh"
 
 using namespace pdr;
@@ -49,23 +47,16 @@ void
 sweep(RouterKind kind, RoutingRange range, bool overlap_cb,
       FitPolicy policy)
 {
-    // The (p, v) design grid, evaluated in parallel on the sweep
-    // engine's pool, printed in grid order.
-    std::vector<std::pair<int, int>> grid;
-    for (int p : {5, 7})
-        for (int v : {2, 4, 8, 16, 32})
-            grid.push_back({p, v});
-
-    auto rows = exec::parallelMap(
-        grid, [&](const std::pair<int, int> &pv) {
-            auto [p, v] = pv;
+    // The (p, v) design grid, in grid order.
+    for (int p : {5, 7}) {
+        for (int v : {2, 4, 8, 16, 32}) {
             RouterParams prm{kind, p, 32, v, range};
             prm.overlapCombination = overlap_cb;
             auto d = designRouter(prm, typicalClock, policy);
-            return formatDesign(csprintf("%2dvcs,%dpcs", v, p), d);
-        });
-    for (const auto &row : rows)
-        std::printf("%s\n", row.c_str());
+            auto row = formatDesign(csprintf("%2dvcs,%dpcs", v, p), d);
+            std::printf("%s\n", row.c_str());
+        }
+    }
 }
 
 } // namespace

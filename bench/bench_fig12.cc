@@ -6,13 +6,9 @@
  */
 
 #include <cstdio>
-#include <string>
-#include <vector>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "delay/equations.hh"
-#include "exec/thread_pool.hh"
 
 using namespace pdr;
 using namespace pdr::delay;
@@ -26,23 +22,14 @@ main()
                   "20 tau4 = one typical clock cycle.");
 
     std::printf("%-14s %8s %8s %8s\n", "config", "R:v", "R:p", "R:pv");
-    std::vector<std::pair<int, int>> grid;
-    for (int p : {5, 7})
-        for (int v : {2, 4, 8, 16, 32})
-            grid.push_back({p, v});
-
-    // Evaluate the grid on the sweep engine's pool, print in order.
-    auto rows = exec::parallelMap(
-        grid, [](const std::pair<int, int> &pv) {
-            auto [p, v] = pv;
-            return csprintf(
-                "%2dvcs,%dpcs    %8.1f %8.1f %8.1f", v, p,
-                tSpecCombined(RoutingRange::Rv, p, v).inTau4(),
-                tSpecCombined(RoutingRange::Rp, p, v).inTau4(),
-                tSpecCombined(RoutingRange::Rpv, p, v).inTau4());
-        });
-    for (const auto &row : rows)
-        std::printf("%s\n", row.c_str());
+    for (int p : {5, 7}) {
+        for (int v : {2, 4, 8, 16, 32}) {
+            std::printf("%2dvcs,%dpcs    %8.1f %8.1f %8.1f\n", v, p,
+                        tSpecCombined(RoutingRange::Rv, p, v).inTau4(),
+                        tSpecCombined(RoutingRange::Rp, p, v).inTau4(),
+                        tSpecCombined(RoutingRange::Rpv, p, v).inTau4());
+        }
+    }
     std::printf("\npaper anchor (2vcs,5pcs): 14.6 / 14.6 / 18.3 tau4\n");
     std::printf("values <= 20 tau4 fit the allocation stage in a "
                 "single cycle, giving the\nspeculative router the same "

@@ -6,15 +6,11 @@
  * fundamentals (EQ 3) and the gate-level circuit reconstructions.
  */
 
+#include <cmath>
 #include <cstdio>
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "bench_util.hh"
-#include "common/logging.hh"
 #include "delay/equations.hh"
-#include "exec/thread_pool.hh"
 #include "le/circuits.hh"
 
 using namespace pdr;
@@ -22,27 +18,14 @@ using namespace pdr::delay;
 
 namespace {
 
-/** Jobs producing table rows, evaluated on the sweep engine's pool. */
-using RowJob = std::function<std::string()>;
-
-std::string
+void
 row(const char *name, Tau t, Tau h, double paper_model,
     double paper_synopsys)
 {
     double model = (t + h).inTau4();
-    return csprintf("%-34s %9.1f %12.1f %12.1f %9s", name, model,
-                    paper_model, paper_synopsys,
-                    std::abs(model - paper_model) <= 0.1 ? "ok"
-                                                         : "DIFF");
-}
-
-void
-printRows(const std::vector<RowJob> &jobs)
-{
-    auto rows = exec::parallelMap(
-        jobs, [](const RowJob &job) { return job(); });
-    for (const auto &r : rows)
-        std::printf("%s\n", r.c_str());
+    std::printf("%-34s %9.1f %12.1f %12.1f %9s\n", name, model,
+                paper_model, paper_synopsys,
+                std::abs(model - paper_model) <= 0.1 ? "ok" : "DIFF");
 }
 
 } // namespace
@@ -61,40 +44,25 @@ main()
                 "paper-model", "paper-synop", "match");
 
     std::printf("-- wormhole router --\n");
-    printRows({
-        [=] { return row("switch arbiter (SB)", tSB(p), hSB(p), 9.6,
-                         9.9); },
-        [=] { return row("crossbar traversal (XB)", tXB(p, w),
-                         hXB(p, w), 8.4, 10.5); },
-    });
+    row("switch arbiter (SB)", tSB(p), hSB(p), 9.6, 9.9);
+    row("crossbar traversal (XB)", tXB(p, w), hXB(p, w), 8.4, 10.5);
 
     std::printf("-- virtual-channel router --\n");
-    printRows({
-        [=] { return row("VC allocator (Rv)",
-                         tVA(RoutingRange::Rv, p, v),
-                         hVA(RoutingRange::Rv, p, v), 11.8, 11.0); },
-        [=] { return row("VC allocator (Rp)",
-                         tVA(RoutingRange::Rp, p, v),
-                         hVA(RoutingRange::Rp, p, v), 13.1, 13.3); },
-        [=] { return row("VC allocator (Rpv)",
-                         tVA(RoutingRange::Rpv, p, v),
-                         hVA(RoutingRange::Rpv, p, v), 16.9, 15.3); },
-        [=] { return row("switch allocator (SL)", tSL(p, v),
-                         hSL(p, v), 10.9, 12.0); },
-    });
+    row("VC allocator (Rv)", tVA(RoutingRange::Rv, p, v),
+        hVA(RoutingRange::Rv, p, v), 11.8, 11.0);
+    row("VC allocator (Rp)", tVA(RoutingRange::Rp, p, v),
+        hVA(RoutingRange::Rp, p, v), 13.1, 13.3);
+    row("VC allocator (Rpv)", tVA(RoutingRange::Rpv, p, v),
+        hVA(RoutingRange::Rpv, p, v), 16.9, 15.3);
+    row("switch allocator (SL)", tSL(p, v), hSL(p, v), 10.9, 12.0);
 
     std::printf("-- speculative virtual-channel router --\n");
-    printRows({
-        [=] { return row("combined VA+SS+CB (Rv)",
-                         tSpecCombined(RoutingRange::Rv, p, v),
-                         Tau(0.0), 14.6, 16.2); },
-        [=] { return row("combined VA+SS+CB (Rp)",
-                         tSpecCombined(RoutingRange::Rp, p, v),
-                         Tau(0.0), 14.6, 16.2); },
-        [=] { return row("combined VA+SS+CB (Rpv)",
-                         tSpecCombined(RoutingRange::Rpv, p, v),
-                         Tau(0.0), 18.3, 16.8); },
-    });
+    row("combined VA+SS+CB (Rv)", tSpecCombined(RoutingRange::Rv, p, v),
+        Tau(0.0), 14.6, 16.2);
+    row("combined VA+SS+CB (Rp)", tSpecCombined(RoutingRange::Rp, p, v),
+        Tau(0.0), 14.6, 16.2);
+    row("combined VA+SS+CB (Rpv)",
+        tSpecCombined(RoutingRange::Rpv, p, v), Tau(0.0), 18.3, 16.8);
 
     std::printf("\n-- logical-effort fundamentals --\n");
     le::Path fo4;

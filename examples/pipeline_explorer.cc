@@ -9,8 +9,8 @@
  *
  *   $ ./pipeline_explorer wh|vc|spec [p] [v] [w] [clk_tau4] [rv|rp|rpv]
  *
- * Passing "all" for [v] sweeps v in {1,2,4,8,16,32} in parallel on
- * the sweep engine's pool and prints one summary line per VC count.
+ * Passing "all" for [v] sweeps v in {1,2,4,8,16,32} and prints one
+ * summary line per VC count.
  */
 
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "exec/thread_pool.hh"
 #include "pipeline/designer.hh"
 
 using namespace pdr;
@@ -79,9 +78,8 @@ main(int argc, char **argv)
     Tau clk = fromTau4(clk_tau4);
 
     if (sweep_v) {
-        // One design job per VC count, fanned across the pool
-        // (PDR_THREADS controls the width), printed in order.
-        // Wormhole routers have no VCs, so their "sweep" is v=1 only.
+        // One design per VC count.  Wormhole routers have no VCs, so
+        // their "sweep" is v=1 only.
         std::vector<int> vcs{1, 2, 4, 8, 16, 32};
         if (prm.kind == RouterKind::Wormhole)
             vcs = {1};
@@ -92,19 +90,17 @@ main(int argc, char **argv)
                     "tau4, range=%s\n\n", toString(prm.kind), prm.p,
                     axis.c_str(), prm.w, clk_tau4,
                     toString(prm.range));
-        auto rows = exec::parallelMap(vcs, [&](int v) {
+        for (int v : vcs) {
             RouterParams sp = prm;
             sp.v = v;
             auto path = criticalPath(sp);
             auto strict = design(path, clk, FitPolicy::Strict);
             auto relaxed = design(path, clk, FitPolicy::Relaxed);
-            return csprintf("v=%-3d unpipelined %6.1f tau4 | strict "
-                            "%d stages | relaxed %d stages", v,
-                            criticalPathTotal(path).inTau4(),
-                            strict.depth(), relaxed.depth());
-        });
-        for (const auto &row : rows)
-            std::printf("%s\n", row.c_str());
+            std::printf("v=%-3d unpipelined %6.1f tau4 | strict %d "
+                        "stages | relaxed %d stages\n", v,
+                        criticalPathTotal(path).inTau4(), strict.depth(),
+                        relaxed.depth());
+        }
         return 0;
     }
 

@@ -230,13 +230,13 @@ defs()
                  int(parseInt("router.buf_depth", v, 1, 1 << 20));
          }},
         {"router.credit_proc",
-         "cycles from credit arrival to usability; -1 = pipeline depth",
+         "cycles from credit arrival to usability (>= 0)",
          [](const SimConfig &c) {
              return std::to_string(c.net.router.creditProcCycles);
          },
          [](SimConfig &c, const std::string &v) {
              c.net.router.creditProcCycles =
-                 int(parseInt("router.credit_proc", v, -1, 1 << 20));
+                 int(parseInt("router.credit_proc", v, 0, 1 << 20));
          }},
         {"router.spec_equal_priority",
          "ablation: drop the non-spec-over-spec allocator priority",
@@ -292,7 +292,7 @@ defs()
          }},
         {"sim.audit",
          "run the per-cycle invariant auditor (wake-table exactness, "
-         "credit conservation, flit-pool leaks); PDR_AUDIT=1 also "
+         "credit conservation, flit conservation); PDR_AUDIT=1 also "
          "enables it",
          [](const SimConfig &c) {
              return std::string(c.net.audit ? "true" : "false");

@@ -121,8 +121,8 @@ simulate(const SimConfig &cfg, double stop_latency)
     if (tel)
         tel->finish();
 
-    // [AUD-LEAK] All in-flight state has a home; anything the pool
-    // still believes live but no queue reaches was leaked.
+    // [AUD-LEAK] Every flit sent and not yet ejected is in some
+    // queue: none was lost or duplicated on the way.
     if (network.auditEnabled())
         network.auditTeardown();
 

@@ -102,14 +102,4 @@ ThreadPool::workerLoop(int pool_size)
     }
 }
 
-void
-parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
-            int threads)
-{
-    ThreadPool pool(threads);
-    for (std::size_t i = 0; i < n; i++)
-        pool.submit([&body, i] { body(i); });
-    pool.wait();
-}
-
 } // namespace pdr::exec

@@ -5,9 +5,7 @@
  * The pool owns N worker threads that drain a FIFO task queue.  Tasks
  * are arbitrary callables; a task that throws does not kill its worker
  * or hang the pool -- the first exception is captured and rethrown from
- * wait().  parallelFor / parallelMap are the common entry points: they
- * preserve item order in the results regardless of which worker ran
- * which item.
+ * wait().
  *
  * Thread-count selection (resolveThreads): an explicit request wins;
  * otherwise the PDR_THREADS environment variable; otherwise the
@@ -25,7 +23,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace pdr::exec {
@@ -84,35 +81,6 @@ class ThreadPool
     std::exception_ptr firstError_;
     bool stop_ = false;
 };
-
-/**
- * Run body(0..n-1) across a temporary pool of `threads` workers; blocks
- * until all iterations finish.  Rethrows the first exception thrown by
- * any iteration (after every iteration has been attempted).
- */
-void parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
-                 int threads = 0);
-
-/**
- * Order-preserving parallel map: results[i] == fn(items[i]) regardless
- * of scheduling.
- */
-template <typename T, typename Fn>
-auto
-parallelMap(const std::vector<T> &items, Fn fn, int threads = 0)
-    -> std::vector<decltype(fn(items.front()))>
-{
-    using R = decltype(fn(items.front()));
-    // vector<bool> packs bits: concurrent element writes would race.
-    static_assert(!std::is_same<R, bool>::value,
-                  "parallelMap cannot return bool; wrap it in a struct "
-                  "or use int");
-    std::vector<R> results(items.size());
-    parallelFor(items.size(),
-                [&](std::size_t i) { results[i] = fn(items[i]); },
-                threads);
-    return results;
-}
 
 } // namespace pdr::exec
 

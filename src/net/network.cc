@@ -134,7 +134,7 @@ Network::Network(const NetworkConfig &cfg)
 
     routers_.reserve(std::size_t(routers));
     for (sim::NodeId id = 0; id < routers; id++)
-        routers_.emplace_back(id, cfg_.router, *routing_, pool_);
+        routers_.emplace_back(id, cfg_.router, *routing_);
 
     // Inter-router links: one flit channel and one reverse credit
     // channel per directed edge (wrap links included on a torus).
@@ -196,7 +196,7 @@ Network::Network(const NetworkConfig &cfg)
         auto *inj = newFlitChan(1, srcComp(node), rtrComp(r));
         auto *inj_credit = newCreditChan(1, rtrComp(r), srcComp(node));
         routers_[r].connectInput(lport, inj, inj_credit);
-        sources_.emplace_back(node, scfg, *pattern_, ctrl_, pool_, inj,
+        sources_.emplace_back(node, scfg, *pattern_, ctrl_, inj,
                               inj_credit);
         if (auditor_) {
             auditLinks_.push_back({sim::Invalid, node, sim::Invalid, r,
@@ -206,7 +206,7 @@ Network::Network(const NetworkConfig &cfg)
 
         auto *ej = newFlitChan(1, rtrComp(r), snkComp(node));
         routers_[r].connectOutput(lport, ej, nullptr, true);
-        sinks_.emplace_back(node, cfg_.packetLength, ctrl_, pool_, ej,
+        sinks_.emplace_back(node, cfg_.packetLength, ctrl_, ej,
                             sinkLatency_[node]);
     }
 
@@ -405,8 +405,8 @@ Network::auditCycle()
                 });
             int wire_flits = 0;
             flitChans_[l.flitChan].forEachInFlight(
-                [&](sim::Cycle, sim::FlitRef r) {
-                    if (pool_.get(r).vc == v)
+                [&](sim::Cycle, const sim::Flit &f) {
+                    if (f.vc == v)
                         wire_flits++;
                 });
             int buffered =
@@ -455,36 +455,24 @@ void
 Network::auditTeardown()
 {
     pdr_assert(auditor_);
-    // Every place a live flit handle can legally rest: in flight on a
-    // flit channel or buffered in a router input FIFO (sources push
-    // the flits they allocate within the same tick; sinks free on
-    // arrival).
-    std::vector<std::uint32_t> reachable;
-    for (const auto &c : flitChans_)
-        c.forEachInFlight([&](sim::Cycle, sim::FlitRef r) {
-            reachable.push_back(r);
-        });
-    for (const auto &r : routers_)
-        r.auditCollectFlits(reachable);
-    auditor_->checkPoolLeaks(pool_, reachable, now_, "network");
-}
-
-std::size_t
-Network::maxLiveFlits() const
-{
-    // Every live flit sits in a router input FIFO or an in-flight
-    // channel slot.  A channel holds at most one push per cycle for
-    // latency + ST-extra cycles (matured items are popped the cycle
-    // they mature -- the wake table guarantees the consumer runs);
-    // + 1 for the staging buffer of partitioned stepping and slack.
-    std::size_t n = 0;
-    n += std::size_t(mesh_.numRouters()) *
-         std::size_t(cfg_.router.numPorts) *
-         std::size_t(cfg_.router.numVcs) *
-         std::size_t(cfg_.router.bufDepth);
-    for (const auto &c : flitChans_)
-        n += std::size_t(c.latency()) + 4;
-    return n;
+    // Every flit a source sent and no sink ejected rests in exactly
+    // one queue: in flight on a flit channel or buffered in a router
+    // input FIFO.  A shortfall was lost on the way, a surplus was
+    // duplicated.
+    std::uint64_t sent = 0;
+    for (const auto &s : sources_)
+        sent += s.flitsSent();
+    const std::uint64_t ejected = deliveredFlits();
+    const long long owed = (long long)(sent - ejected);
+    const long long held = (long long)flitsInFlight();
+    auditor_->require(
+        held == owed, now_, "network", "AUD-LEAK",
+        csprintf("sources sent %llu flits and sinks ejected %llu, so "
+                 "%lld should be in flight, but channels and router "
+                 "FIFOs hold %lld: %lld flit(s) %s",
+                 (unsigned long long)sent, (unsigned long long)ejected,
+                 owed, held, held < owed ? owed - held : held - owed,
+                 held < owed ? "lost" : "duplicated"));
 }
 
 sim::Cycle
@@ -592,6 +580,18 @@ Network::deliveredPackets() const
     std::uint64_t n = 0;
     for (const auto &s : sinks_)
         n += s.packets();
+    return n;
+}
+
+std::size_t
+Network::flitsInFlight() const
+{
+    std::size_t n = 0;
+    for (const auto &c : flitChans_)
+        n += c.inFlight();
+    for (const auto &r : routers_)
+        for (int port = 0; port < cfg_.router.numPorts; port++)
+            n += std::size_t(r.buffered(port));
     return n;
 }
 

@@ -15,11 +15,11 @@
  *
  * Hot-path layout: all components live in contiguous value slabs
  * (vector<Router>, vector<Source>, ... -- reserved exactly, never
- * reallocated), flits live in a per-network FlitPool and move between
- * queues as 4-byte handles, and stepping is activity-driven: a wake
- * table (one cycle per component, lowered by channel pushes) lets
- * step() skip every component that provably has nothing to do this
- * cycle.  Skipping is a pure scheduling optimization -- simulated
+ * reallocated), flits travel by value in the queues that own them
+ * (channels and router input FIFOs), and stepping is activity-driven:
+ * a wake table (one cycle per component, lowered by channel pushes)
+ * lets step() skip every component that provably has nothing to do
+ * this cycle.  Skipping is a pure scheduling optimization -- simulated
  * behavior, statistics and RNG streams are bit-identical to ticking
  * everything (forceTickAll(true) restores the naive schedule so tests
  * can prove it).
@@ -37,7 +37,6 @@
 #include "net/topology.hh"
 #include "router/router.hh"
 #include "sim/audit.hh"
-#include "sim/flit_pool.hh"
 #include "stats/latency.hh"
 #include "traffic/measure.hh"
 #include "traffic/sink.hh"
@@ -83,7 +82,7 @@ struct NetworkConfig
     std::uint64_t samplePackets = 100000; //!< Sample-space size.
     /**
      * Run the per-cycle invariant auditor (sim::Auditor): wake-table
-     * exactness, per-link credit conservation, flit-pool leak checks.
+     * exactness, per-link credit conservation, flit conservation.
      * Purely observational -- results are bit-identical either way --
      * but costs a scan per cycle, so it is a debug switch, not a
      * production default.  PDR_AUDIT=1 in the environment enables it
@@ -155,7 +154,7 @@ class EpochObserver
 class Network
 {
   public:
-    using FlitChannel = sim::Channel<sim::FlitRef>;
+    using FlitChannel = sim::Channel<sim::Flit>;
     using CreditChannel = sim::Channel<sim::Credit>;
 
     explicit Network(const NetworkConfig &cfg);
@@ -275,13 +274,6 @@ class Network
     }
 
     /**
-     * Upper bound on simultaneously live flits (router buffering plus
-     * channel occupancy), used to pre-reserve the flit pool so sharded
-     * slab growth never reallocates under concurrent readers.
-     */
-    std::size_t maxLiveFlits() const;
-
-    /**
      * Disable activity-driven scheduling: tick every component every
      * cycle (the naive schedule).  Simulated behavior is identical
      * either way -- this exists so equivalence tests can step a
@@ -324,11 +316,6 @@ class Network
     const Lattice &lattice() const { return mesh_; }
     traffic::MeasureController &controller() { return ctrl_; }
 
-    /** The flit storage pool (diagnostics: live count, capacity). */
-    const sim::FlitPool &flitPool() const { return pool_; }
-    /** Mutable pool access (the stepper shards its freelists). */
-    sim::FlitPool &flitPool() { return pool_; }
-
     /** Router `r` of the lattice (r in [0, numRouters)). */
     router::Router &routerAt(sim::NodeId r) { return routers_[r]; }
     const router::Router &routerAt(sim::NodeId r) const
@@ -357,6 +344,10 @@ class Network
     std::uint64_t deliveredFlits() const;
     /** Complete packets delivered at all sinks since cycle 0. */
     std::uint64_t deliveredPackets() const;
+    /** Flits between source and sink right now: in flight on a flit
+     *  channel or buffered in a router input FIFO.  Read between
+     *  cycles (staging buffers are empty then). */
+    std::size_t flitsInFlight() const;
 
     /** Accepted traffic as a fraction of uniform capacity. */
     double acceptedFraction() const
@@ -395,12 +386,11 @@ class Network
     const sim::Auditor *auditor() const { return auditor_.get(); }
 
     /**
-     * [AUD-LEAK] Verify that every live flit-pool slot is reachable
-     * from some queue (channel in flight or router FIFO) -- an
-     * unreachable live slot was allocated and lost.  Throws
-     * sim::AuditError naming the leaked slots.  Call before
-     * destruction (runSimulation does when auditing is on); requires
-     * auditEnabled().
+     * [AUD-LEAK] Verify flit conservation: the flits the sources sent
+     * minus the flits the sinks ejected must equal flitsInFlight().
+     * Throws sim::AuditError saying how many flits were lost or
+     * duplicated.  Call before destruction (runSimulation does when
+     * auditing is on); requires auditEnabled().
      */
     void auditTeardown();
 
@@ -427,8 +417,6 @@ class Network
     std::unique_ptr<router::RoutingFunction> routing_;
     traffic::MeasureController ctrl_;
     std::unique_ptr<traffic::TrafficPattern> pattern_;
-
-    sim::FlitPool pool_;
 
     // Contiguous slabs, reserved exactly in the constructor and never
     // resized afterwards (components hand out interior pointers).

@@ -78,17 +78,6 @@ ParallelStepper::ParallelStepper(net::Network &net, const ParConfig &cfg)
         }
     }
 
-    // Sharded flit freelists: every worker allocs (sources) from and
-    // frees (sinks) into its own LIFO.  The reserve guarantees slab
-    // growth never reallocates under concurrent readers.
-    net_.flitPool().shardFreelists(W_, net_.maxLiveFlits());
-    const auto &lat = net_.lattice();
-    for (sim::NodeId n = 0; n < lat.numNodes(); n++) {
-        int owner = part_.ownerOfNode(n);
-        net_.sourceAt(n).setPoolShard(owner);
-        net_.sinkRefAt(n).setPoolShard(owner);
-    }
-
     workerTrace_.resize(std::size_t(W_));
     syncTrace();
 
@@ -108,8 +97,7 @@ ParallelStepper::~ParallelStepper()
         t.join();
 
     // Restore serial stepping state: direct channel mode (staging
-    // buffers are empty between cycles), the single freelist, and the
-    // user's delivery trace.
+    // buffers are empty between cycles) and the user's delivery trace.
     for (auto &list : flitDrain_) {
         for (auto *c : list)
             c->setStaged(false);
@@ -117,12 +105,6 @@ ParallelStepper::~ParallelStepper()
     for (auto &list : creditDrain_) {
         for (auto *c : list)
             c->setStaged(false);
-    }
-    net_.flitPool().collapseFreelists();
-    const auto &lat = net_.lattice();
-    for (sim::NodeId n = 0; n < lat.numNodes(); n++) {
-        net_.sourceAt(n).setPoolShard(0);
-        net_.sinkRefAt(n).setPoolShard(0);
     }
     net_.recordDeliveries(net_.deliveryTrace());
 }

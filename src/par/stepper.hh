@@ -21,16 +21,17 @@
  *
  * Determinism: components only communicate through >= 1-cycle
  * channels, so intra-cycle order is immaterial; the deferred wake
- * update is min(), which reproduces the serial wake table exactly; the
- * flit pool's sharded freelists only change which storage slot a flit
- * occupies (never observable); per-sink statistics shards merge in
- * index order at readout; and the one order-sensitive piece of shared
- * state -- the measurement controller's sample-space tagging -- is
- * classified per cycle by MeasureController::tagMode(): on the rare
- * boundary cycle where the quota runs out mid-cycle, the source phase
- * runs serially in node order before the gang is released.  Results
- * are therefore bit-identical to Network::step() for any worker count,
- * which tests/net/test_lockstep.cc and tests/par/ enforce.
+ * update is min(), which reproduces the serial wake table exactly;
+ * flits cross a partition by value inside the staged channel, so no
+ * flit storage is shared between workers; per-sink statistics shards
+ * merge in index order at readout; and the one order-sensitive piece
+ * of shared state -- the measurement controller's sample-space
+ * tagging -- is classified per cycle by MeasureController::tagMode():
+ * on the rare boundary cycle where the quota runs out mid-cycle, the
+ * source phase runs serially in node order before the gang is
+ * released.  Results are therefore bit-identical to Network::step()
+ * for any worker count, which tests/net/test_lockstep.cc and
+ * tests/par/ enforce.
  *
  * Between cycles the gang is parked at the cycle-start barrier, after
  * the drain: the wake table is globally consistent and staging is
@@ -109,7 +110,7 @@ class ParallelStepper
     ParallelStepper(net::Network &net, const ParConfig &cfg);
 
     /** Detaches: joins the gang and restores serial stepping state
-     *  (channel modes, pool freelists, delivery traces). */
+     *  (channel modes, delivery traces). */
     ~ParallelStepper();
 
     ParallelStepper(const ParallelStepper &) = delete;

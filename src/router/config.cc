@@ -30,19 +30,6 @@ RouterConfig::pipelineDepth() const
     return 1;
 }
 
-int
-RouterConfig::effectiveCreditProc() const
-{
-    if (creditProcCycles >= 0)
-        return creditProcCycles;
-    // Default: an arriving credit is usable by this cycle's allocation.
-    // The longer credit turnaround of the non-speculative VC router
-    // (5 cycles vs 4, Section 5.2) emerges structurally from its switch
-    // allocation sitting one pipeline stage deeper, so no extra
-    // processing delay is modelled here.
-    return 0;
-}
-
 RouterModel
 routerModelFromString(const std::string &name)
 {
@@ -87,10 +74,10 @@ RouterConfig::validate() const
         throw std::invalid_argument(csprintf(
             "router.buf_depth must be >= 1, got %d", bufDepth));
     }
-    if (creditProcCycles < -1) {
+    if (creditProcCycles < 0) {
         throw std::invalid_argument(csprintf(
-            "router.credit_proc must be >= -1 (-1 = pipeline depth), "
-            "got %d", creditProcCycles));
+            "router.credit_proc must be >= 0, got %d",
+            creditProcCycles));
     }
 }
 

@@ -60,8 +60,9 @@ struct RouterConfig
     int numVcs = 1;
     /** Buffer depth in flits per VC FIFO (WH: per input port). */
     int bufDepth = 8;
-    /** Cycles from credit arrival to usability; -1 = pipeline depth. */
-    int creditProcCycles = -1;
+    /** Cycles from credit arrival to usability (0 = the arrival
+     *  cycle's allocation may use it). */
+    int creditProcCycles = 0;
     /**
      * Ablation: drop the non-spec-over-spec priority of the
      * speculative switch allocator and arbitrate all requests in one
@@ -74,9 +75,6 @@ struct RouterConfig
 
     /** Pipeline depth in cycles (per-hop router latency). */
     int pipelineDepth() const;
-
-    /** Effective credit processing delay. */
-    int effectiveCreditProc() const;
 
     /** Sanity-check the configuration; throws std::invalid_argument
      *  naming the offending parameter, so the sweep engine and CLI can

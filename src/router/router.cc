@@ -8,8 +8,8 @@
 namespace pdr::router {
 
 Router::Router(sim::NodeId id, const RouterConfig &cfg,
-               const RoutingFunction &routing, sim::FlitPool &pool)
-    : id_(id), cfg_(cfg), routing_(routing), pool_(pool)
+               const RoutingFunction &routing)
+    : id_(id), cfg_(cfg), routing_(routing)
 {
     cfg_.validate();
     if (cfg_.numPorts < 2) {
@@ -101,15 +101,6 @@ Router::auditPendingCredits(int out_port, int out_vc) const
         if (pc.port == out_port && pc.vc == out_vc)
             n++;
     return n;
-}
-
-void
-Router::auditCollectFlits(std::vector<sim::FlitRef> &out) const
-{
-    for (const auto &ivc : invcs_)
-        ivc.fifo.forEach([&out](sim::FlitRef ref) {
-            out.push_back(ref);
-        });
 }
 
 std::string
@@ -250,7 +241,7 @@ Router::receiveCredits(sim::Cycle now)
 {
     // Accept newly arrived credits into the processing pipeline first:
     // with proc == 0 a credit is usable by this very cycle's allocation.
-    int proc = cfg_.effectiveCreditProc();
+    const int proc = cfg_.creditProcCycles;
     for (int port = 0; port < cfg_.numPorts; port++) {
         auto *chan = outputs_[port].creditIn;
         if (!chan)
@@ -280,7 +271,7 @@ Router::receiveFlits(sim::Cycle now)
         if (!chan)
             continue;
         while (auto r = chan->pop(now)) {
-            sim::Flit &f = pool_.get(*r);
+            sim::Flit &f = *r;
             pdr_assert(f.vc >= 0 && f.vc < cfg_.numVcs);
             auto &ivc = invc(port, f.vc);
             pdr_assert(ivc.fifo.size() < cfg_.bufDepth);
@@ -294,7 +285,7 @@ Router::receiveFlits(sim::Cycle now)
                 ivc.route = selectRoute(f);
                 ivc.actReady = f.eligible;
             }
-            ivc.fifo.push(*r);
+            ivc.fifo.push(f);
             bufferedNow_++;
             syncBid(vidx(port, f.vc));
             stats_.flitsIn++;
@@ -322,7 +313,7 @@ Router::vaPhase(sim::Cycle now)
             return;
         pdr_assert(!ivc.fifo.empty());
         const int port = vi / v, vc = vi % v;
-        const auto &head = pool_.get(ivc.fifo.front());
+        const auto &head = ivc.fifo.front();
         pdr_assert(sim::isHead(head.type));
         if (routing_.isAdaptive()) {
             // Footnote 5: re-iterate through the routing function
@@ -374,7 +365,7 @@ Router::saPhaseWormhole(sim::Cycle now)
     auto considerPort = [&](int port) {
         auto &ivc = invc(port, 0);
         pdr_assert(!ivc.fifo.empty());
-        const auto &f = pool_.get(ivc.fifo.front());
+        const auto &f = ivc.fifo.front();
         if (now < f.eligible)
             return;
         if (ivc.state == VcState::RouteWait && now >= ivc.actReady) {
@@ -434,7 +425,7 @@ Router::saPhaseVc(sim::Cycle now)
         pdr_assert(ivc.state == VcState::Active && !ivc.fifo.empty());
         if (ivc.vaGrantedNow && !cfg_.singleCycle)
             return;     // Covered by its speculative bid (specVC).
-        const auto &f = pool_.get(ivc.fifo.front());
+        const auto &f = ivc.fifo.front();
         if (now < f.eligible || now < ivc.saReady)
             return;
         if (!hasCredit(ivc.route, ivc.outVc)) {
@@ -470,7 +461,7 @@ Router::saPhaseVc(sim::Cycle now)
                 continue;
             stats_.specSaUseful++;
         }
-        if (sim::isHead(pool_.get(ivc.fifo.front()).type))
+        if (sim::isHead(ivc.fifo.front().type))
             stats_.headGrants++;
         departFlit(g.inPort, g.inVc, ivc.route, ivc.outVc, now);
     }
@@ -482,9 +473,8 @@ Router::departFlit(int in_port, int in_vc, int out_port, int out_vc,
 {
     auto &ivc = invc(in_port, in_vc);
     pdr_assert(!ivc.fifo.empty());
-    sim::FlitRef ref = ivc.fifo.pop();
+    sim::Flit f = ivc.fifo.pop();
     bufferedNow_--;
-    sim::Flit &f = pool_.get(ref);
 
     // Freed buffer slot: return a credit upstream (none for injection
     // ports fed by a source? sources also track credits, so send).
@@ -503,7 +493,7 @@ Router::departFlit(int in_port, int in_vc, int out_port, int out_vc,
     f.vc = out_vc;
     f.vclass = std::uint8_t(routing_.nextClass(f, id_, out_port));
     pdr_assert(op.out);
-    op.out->push(ref, now, st_extra);
+    op.out->push(f, now, st_extra);
     stats_.flitsOut++;
 
     if (sim::isTail(f.type))
@@ -538,7 +528,7 @@ Router::releaseAndTakeOver(int in_port, int in_vc, int out_port,
 
     // The next packet's head takes over the VC and is routed now (its
     // RC stage runs in the next cycle).
-    const auto &head = pool_.get(ivc.fifo.front());
+    const auto &head = ivc.fifo.front();
     pdr_assert(sim::isHead(head.type));
     ivc.state = VcState::RouteWait;
     ivc.route = selectRoute(head);
@@ -569,7 +559,7 @@ Router::nextWake(sim::Cycle now)
     auto check = [&](std::size_t vi) -> bool {
         InputVc &ivc = invcs_[vi];
         pdr_assert(!ivc.fifo.empty());
-        const sim::Flit &f = pool_.get(ivc.fifo.front());
+        const sim::Flit &f = ivc.fifo.front();
         if (wh) {
             if (ivc.state == VcState::RouteWait) {
                 sim::Cycle r = std::max(f.eligible, ivc.actReady);

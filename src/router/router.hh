@@ -24,8 +24,9 @@
  *
  * Credits: a departing flit frees its input-buffer slot and sends a
  * credit upstream; an arriving credit becomes usable by allocation after
- * creditProcCycles (default: the pipeline depth), reproducing the
- * paper's 4/5/4/2-cycle buffer-turnaround analysis (Section 5.2).
+ * creditProcCycles (default 0: usable by the arrival cycle's
+ * allocation).  The paper's 4/5/4/2-cycle buffer-turnaround analysis
+ * (Section 5.2) emerges from the pipeline depths alone.
  */
 
 #ifndef PDR_ROUTER_ROUTER_HH
@@ -43,7 +44,6 @@
 #include "router/routing.hh"
 #include "sim/channel.hh"
 #include "sim/flit.hh"
-#include "sim/flit_pool.hh"
 
 namespace pdr::router {
 
@@ -83,12 +83,11 @@ struct RouterStats
 class Router
 {
   public:
-    /** Flit channels carry pool handles; the pool holds the payloads. */
-    using FlitChannel = sim::Channel<sim::FlitRef>;
+    using FlitChannel = sim::Channel<sim::Flit>;
     using CreditChannel = sim::Channel<sim::Credit>;
 
     Router(sim::NodeId id, const RouterConfig &cfg,
-           const RoutingFunction &routing, sim::FlitPool &pool);
+           const RoutingFunction &routing);
 
     /**
      * Wire input port `port`: flits arrive on `in`; credits for freed
@@ -191,8 +190,6 @@ class Router
     /** Received credits for (outPort, outVc) still maturing in the
      *  credit-processing pipeline (not yet applied to credits()). */
     int auditPendingCredits(int out_port, int out_vc) const;
-    /** Append every flit handle buffered in any input FIFO. */
-    void auditCollectFlits(std::vector<sim::FlitRef> &out) const;
     /**
      * AUD-BID: recompute the incremental allocation bitsets (RouteWait
      * bids, Active bids, free output-VC words) densely from the per-VC
@@ -213,7 +210,7 @@ class Router
     /** Per input virtual channel (per input port for WH). */
     struct InputVc
     {
-        sim::FlitFifo fifo;         //!< bufDepth-capacity handle ring.
+        sim::FlitFifo fifo;         //!< bufDepth-capacity flit ring.
         VcState state = VcState::Idle;
         sim::Cycle actReady = 0;    //!< Earliest first allocation action.
         sim::Cycle saReady = 0;     //!< Earliest switch request (VC).
@@ -354,7 +351,6 @@ class Router
     sim::NodeId id_;
     RouterConfig cfg_;
     const RoutingFunction &routing_;
-    sim::FlitPool &pool_;
 
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;

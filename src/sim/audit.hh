@@ -5,10 +5,11 @@
  *
  * The golden-CSV gates and the lockstep tests prove *that* a change
  * broke bit-exactness; the auditor exists to say *where*.  When
- * enabled (PDR_AUDIT=1 or sim.audit=true) the Network runs three
+ * enabled (PDR_AUDIT=1 or sim.audit=true) the Network runs four
  * classes of checks and fails at the offending cycle with the
  * offending component named, instead of surfacing as a byte-diff ten
- * thousand cycles later:
+ * thousand cycles later (the first three every cycle, the last at
+ * teardown):
  *
  *   - wake-table exactness [AUD-WAKE]: no component may sleep past a
  *     matured item on a channel it consumes.  This is the runtime dual
@@ -27,18 +28,17 @@
  *     state, every cycle.  A stale bit is the allocation-side dual of
  *     an AUD-WAKE violation: a VC that would bid under a dense scan
  *     but is skipped by the sparse one.
- *   - flit-pool leaks [AUD-LEAK]: every live pool slot must be
- *     reachable from some queue (channel or router FIFO).  Checked at
- *     teardown; a slot that is alive but unreachable was allocated
- *     and lost, which silently corrupts handle-reuse order (invariant
- *     4) on top of leaking.
+ *   - flit conservation [AUD-LEAK]: the flits the sources sent minus
+ *     the flits the sinks ejected must equal the flits in channels
+ *     plus router input FIFOs.  A shortfall is a flit lost on the way
+ *     (a queue dropped it), a surplus one duplicated.
  *
  * Failures throw sim::AuditError (tests assert on it; the CLI lets it
  * terminate with the diagnostic).  The auditor is observational: it
  * never mutates simulation state, so an audited run is bit-identical
- * to an unaudited one.  Checks run on the serial stepping path only
- * (Network::step()); partitioned phase state is torn between barriers
- * and is covered by the par lockstep tests instead.
+ * to an unaudited one.  Checks run at every worker count: partitioned
+ * stepping runs them on worker 0 between cycles, with the gang parked
+ * and every staging buffer drained (see par::ParallelStepper).
  */
 
 #ifndef PDR_SIM_AUDIT_HH
@@ -47,13 +47,10 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "sim/types.hh"
 
 namespace pdr::sim {
-
-class FlitPool;
 
 /** A broken determinism invariant, caught at the offending cycle. */
 class AuditError : public std::logic_error
@@ -106,16 +103,6 @@ class Auditor
      *  fail() path; this keeps their census without per-check string
      *  construction). */
     void addChecks(std::uint64_t n) { checksRun_ += n; }
-
-    /**
-     * [AUD-LEAK] Every slot the pool believes live must appear in
-     * `reachable` (the refs collected from every queue).  Throws with
-     * the leaked slot ids; also flags the reverse inconsistency (a
-     * reachable ref the pool thinks is free -- a double free).
-     */
-    void checkPoolLeaks(const FlitPool &pool,
-                        const std::vector<std::uint32_t> &reachable,
-                        Cycle at, const std::string &who);
 
   private:
     std::uint64_t checksRun_ = 0;

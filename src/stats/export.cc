@@ -1,7 +1,9 @@
 #include "stats/export.hh"
 
 #include <cstdio>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
@@ -51,7 +53,7 @@ looksNumeric(const std::string &s)
 void
 writeCsvCell(std::ostream &os, const std::string &s)
 {
-    if (s.find_first_of(",\"\n") == std::string::npos) {
+    if (s.find_first_of(",\"\n\r") == std::string::npos) {
         os << s;
         return;
     }
@@ -132,6 +134,86 @@ Table::writeCsv(std::ostream &os) const
         }
         os << '\n';
     }
+}
+
+Table
+Table::readCsv(std::istream &is, const std::string &what)
+{
+    const std::string text((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
+    auto fail = [&](int line, const char *msg) {
+        throw std::invalid_argument(
+            csprintf("'%s' line %d: %s", what.c_str(), line, msg));
+    };
+
+    std::vector<std::vector<std::string>> records;
+    std::vector<int> lines;     // First line of each record.
+    const std::size_t n = text.size();
+    std::size_t i = 0;
+    int line = 1;
+    while (i < n) {
+        lines.push_back(line);
+        std::vector<std::string> cells;
+        while (true) {
+            std::string cell;
+            if (i < n && text[i] == '"') {
+                const int open = line;
+                for (i++;; i++) {
+                    if (i == n)
+                        fail(open, "unterminated quoted cell");
+                    if (text[i] == '"') {
+                        if (i + 1 < n && text[i + 1] == '"')
+                            i++;    // A doubled quote is one quote.
+                        else
+                            break;
+                    }
+                    if (text[i] == '\n')
+                        line++;
+                    cell += text[i];
+                }
+                i++;
+                if (i + 1 < n && text[i] == '\r' && text[i + 1] == '\n')
+                    i++;
+                if (i < n && text[i] != ',' && text[i] != '\n')
+                    fail(line, "stray quote: text after a closing quote");
+            } else {
+                for (; i < n && text[i] != ',' && text[i] != '\n'; i++) {
+                    if (text[i] == '"')
+                        fail(line, "stray quote in an unquoted cell");
+                    cell += text[i];
+                }
+                if (i < n && text[i] == '\n' && !cell.empty() &&
+                    cell.back() == '\r')
+                    cell.pop_back();    // CRLF row end.
+            }
+            cells.push_back(std::move(cell));
+            if (i < n && text[i] == ',') {
+                i++;
+                continue;
+            }
+            if (i < n) {    // The row's line break.
+                i++;
+                line++;
+            }
+            break;
+        }
+        records.push_back(std::move(cells));
+    }
+
+    if (records.empty()) {
+        throw std::invalid_argument("'" + what + "' is empty");
+    }
+    Table table(std::move(records.front()));
+    for (std::size_t r = 1; r < records.size(); r++) {
+        if (records[r].size() != table.header().size()) {
+            fail(lines[r], csprintf("%zu cells, header has %zu",
+                                    records[r].size(),
+                                    table.header().size())
+                               .c_str());
+        }
+        table.addRow(std::move(records[r]));
+    }
+    return table;
 }
 
 void

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tabular result export: a simple header + rows table with CSV and JSON
- * writers.  The sweep engine (src/exec/) renders SweepResults through
+ * writers and a CSV reader.  The sweep engine (src/exec/) renders SweepResults through
  * this so every bench/example can dump machine-readable curves next to
  * its human-readable output (see `pdr sweep --csv` in tools/pdr_main.cc).
  *
@@ -14,6 +14,7 @@
 #define PDR_STATS_EXPORT_HH
 
 #include <cstdint>
+#include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -43,6 +44,16 @@ class Table
 
     /** RFC-4180-style CSV (cells quoted only when needed). */
     void writeCsv(std::ostream &os) const;
+
+    /**
+     * The inverse of writeCsv: quoted cells may hold commas, doubled
+     * quotes and line breaks, and rows may end in CRLF.  The first
+     * record is the header.  Throws std::invalid_argument naming
+     * `what` (the file) and the line on an empty input, an
+     * unterminated or stray quote, or a row whose cell count differs
+     * from the header's.
+     */
+    static Table readCsv(std::istream &is, const std::string &what);
 
     /** JSON array of one object per row, keyed by header. */
     void writeJson(std::ostream &os) const;

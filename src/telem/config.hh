@@ -6,7 +6,7 @@
  * Everything configured here is observational.  The hard contract --
  * shared with the auditor and the lint rules that enforce it -- is
  * that telemetry is read-only with respect to simulation state: RNG
- * streams, wake tables, flit pools and result CSVs are bit-identical
+ * streams, wake tables, flit queues and result CSVs are bit-identical
  * whether telemetry is on or off, at any worker count.  The only
  * wall-clock reads live in the host-profile trace stream (see
  * docs/OBSERVABILITY.md and lint rule PDR-OBS-WALLCLOCK).
@@ -28,7 +28,7 @@ struct Config
     /**
      * Master switch for the windowed stream sampler: every `interval`
      * cycles a cycle-indexed record of windowed throughput, latency
-     * percentiles, per-router activity and flit-pool occupancy is
+     * percentiles, per-router activity and flits in flight is
      * emitted, plus a per-router traffic heatmap at teardown.  Off by
      * default; when off, no sampling epochs run at all.
      */

@@ -48,7 +48,7 @@ StreamSampler::emitWindow(sim::Cycle at, TraceWriter *trace)
                             at, "flits", double(dflits));
         trace->counterEvent(TraceWriter::kRouterPid, "pool_live", at,
                             "live",
-                            double(net_.flitPool().liveCount()));
+                            double(net_.flitsInFlight()));
     }
 
     if (out_) {
@@ -66,7 +66,7 @@ StreamSampler::emitWindow(sim::Cycle at, TraceWriter *trace)
             (unsigned long long)dlat.count(), dlat.mean(),
             dlat.percentile(50.0), dlat.percentile(95.0),
             dlat.percentile(99.0), dlat.min(), dlat.max(),
-            net_.flitPool().liveCount());
+            net_.flitsInFlight());
         for (std::size_t c = 0; c < cat.size(); c++) {
             rec += csprintf(", \"%s\": %llu", cat[c].name,
                             (unsigned long long)d.total(c));

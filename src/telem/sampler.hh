@@ -4,7 +4,7 @@
  * cycle-indexed record of what the network did in that window --
  * delivered throughput, latency percentiles (LatencyStats window
  * deltas via its merge algebra), per-router activity deltas from the
- * counter registry, and flit-pool occupancy -- plus, at teardown, a
+ * counter registry, and the flits in flight -- plus, at teardown, a
  * per-router traffic heatmap (the repartitioner's future input) and a
  * run summary record.
  *

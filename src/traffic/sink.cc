@@ -5,10 +5,9 @@
 namespace pdr::traffic {
 
 Sink::Sink(sim::NodeId node, int packet_length, MeasureController &ctrl,
-           sim::FlitPool &pool, FlitChannel *from_router,
-           stats::LatencyStats &latency)
+           FlitChannel *from_router, stats::LatencyStats &latency)
     : node_(node), packetLength_(packet_length), ctrl_(ctrl),
-      pool_(pool), in_(from_router), latency_(latency)
+      in_(from_router), latency_(latency)
 {
 }
 
@@ -16,8 +15,7 @@ void
 Sink::tick(sim::Cycle now)
 {
     while (auto r = in_->pop(now)) {
-        const sim::Flit f = pool_.get(*r);
-        pool_.free(*r, poolShard_);
+        const sim::Flit &f = *r;
         pdr_assert(f.dest == node_);
         totalFlits_++;
         if (now >= ctrl_.warmup())

@@ -2,8 +2,7 @@
  * @file
  * Ejection sink: absorbs flits at the destination node ("immediate
  * ejection"), validates packet integrity, and records latency and
- * throughput statistics.  Flit pool slots are released here, at the
- * end of each flit's life.
+ * throughput statistics.
  */
 
 #ifndef PDR_TRAFFIC_SINK_HH
@@ -14,7 +13,6 @@
 
 #include "sim/channel.hh"
 #include "sim/flit.hh"
-#include "sim/flit_pool.hh"
 #include "stats/latency.hh"
 #include "traffic/measure.hh"
 
@@ -33,11 +31,10 @@ struct Delivery
 class Sink
 {
   public:
-    using FlitChannel = sim::Channel<sim::FlitRef>;
+    using FlitChannel = sim::Channel<sim::Flit>;
 
     Sink(sim::NodeId node, int packet_length, MeasureController &ctrl,
-         sim::FlitPool &pool, FlitChannel *from_router,
-         stats::LatencyStats &latency);
+         FlitChannel *from_router, stats::LatencyStats &latency);
 
     /** Drain arrived flits. */
     void tick(sim::Cycle now);
@@ -59,10 +56,6 @@ class Sink
         trace_ = trace;
     }
 
-    /** FlitPool freelist shard this sink frees into (set by the
-     *  partitioned stepper to its owning worker; 0 = serial). */
-    void setPoolShard(int shard) { poolShard_ = shard; }
-
     /** Flits received after the warm-up point (for throughput). */
     std::uint64_t measuredFlits() const { return measuredFlits_; }
     /** All flits ever received. */
@@ -74,11 +67,9 @@ class Sink
     sim::NodeId node_;
     int packetLength_;
     MeasureController &ctrl_;
-    sim::FlitPool &pool_;
     FlitChannel *in_;
     stats::LatencyStats &latency_;
     std::vector<Delivery> *trace_ = nullptr;
-    int poolShard_ = 0;                 //!< FlitPool freelist shard.
 
     /** Next expected sequence number per in-flight packet. */
     // pdr-lint: allow(PDR-ORD-UNORD) keyed erase/lookup only, never

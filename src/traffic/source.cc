@@ -8,10 +8,9 @@ namespace pdr::traffic {
 
 Source::Source(sim::NodeId node, const SourceConfig &cfg,
                const TrafficPattern &pattern, MeasureController &ctrl,
-               sim::FlitPool &pool, FlitChannel *to_router,
-               CreditChannel *credits_back)
+               FlitChannel *to_router, CreditChannel *credits_back)
     : node_(node), cfg_(cfg), pattern_(pattern), ctrl_(ctrl),
-      pool_(pool), out_(to_router), creditIn_(credits_back),
+      out_(to_router), creditIn_(credits_back),
       rng_(cfg.seed ^ (0xabcd1234ULL * (node + 1))),
       nextId_((sim::PacketId(node) << 40) + 1)
 {
@@ -201,9 +200,7 @@ Source::inject(sim::Cycle now)
         if (!s.busy || credits_[vc] <= 0)
             continue;
 
-        sim::FlitRef ref = pool_.alloc(poolShard_);
-        sim::Flit &f = pool_.get(ref);
-        f = sim::Flit{};
+        sim::Flit f;
         f.packet = s.pkt.id;
         int len = cfg_.packetLength;
         if (len == 1)
@@ -223,7 +220,7 @@ Source::inject(sim::Cycle now)
         f.ctime = s.pkt.ctime;
         f.measured = s.pkt.measured;
 
-        out_->push(ref, now);
+        out_->push(f, now);
         credits_[vc]--;
         flitsSent_++;
         s.nextSeq++;

@@ -38,7 +38,6 @@
 #include "router/routing.hh"
 #include "sim/channel.hh"
 #include "sim/flit.hh"
-#include "sim/flit_pool.hh"
 #include "traffic/measure.hh"
 #include "traffic/pattern.hh"
 
@@ -66,13 +65,12 @@ struct SourceConfig
 class Source
 {
   public:
-    using FlitChannel = sim::Channel<sim::FlitRef>;
+    using FlitChannel = sim::Channel<sim::Flit>;
     using CreditChannel = sim::Channel<sim::Credit>;
 
     Source(sim::NodeId node, const SourceConfig &cfg,
            const TrafficPattern &pattern, MeasureController &ctrl,
-           sim::FlitPool &pool, FlitChannel *to_router,
-           CreditChannel *credits_back);
+           FlitChannel *to_router, CreditChannel *credits_back);
 
     /** Advance one cycle: collect credits, generate, inject. */
     void tick(sim::Cycle now);
@@ -114,10 +112,6 @@ class Source
     std::size_t backlog() const { return queue_.size() + active(); }
     /** Streams currently active. */
     int active() const;
-
-    /** FlitPool freelist shard this source allocates from (set by the
-     *  partitioned stepper to its owning worker; 0 = serial). */
-    void setPoolShard(int shard) { poolShard_ = shard; }
 
     // ----- invariant-auditor accessors (sim::Auditor; read-only) -----
 
@@ -172,14 +166,12 @@ class Source
     SourceConfig cfg_;
     const TrafficPattern &pattern_;
     MeasureController &ctrl_;
-    sim::FlitPool &pool_;
     FlitChannel *out_;
     CreditChannel *creditIn_;
 
     Rng rng_;
     double onRate_ = 0.0;              //!< Bernoulli rate in ON state.
     bool burstState_ = true;           //!< MMPP state (true = ON).
-    int poolShard_ = 0;                //!< FlitPool freelist shard.
     std::deque<PendingPacket> queue_;
     std::vector<Stream> streams_;      //!< One per injection VC.
     std::vector<int> credits_;         //!< Per injection VC.

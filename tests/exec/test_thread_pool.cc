@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
-#include <thread>
 
 #include "exec/thread_pool.hh"
 
@@ -54,48 +52,6 @@ TEST(ThreadPool, WaitIsReusableAcrossBatches)
         pool.wait();
         EXPECT_EQ(count.load(), 8 * (round + 1));
     }
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndicesOnce)
-{
-    std::vector<std::atomic<int>> hits(64);
-    exec::parallelFor(64, [&](std::size_t i) { hits[i]++; }, 4);
-    for (auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForRunsEveryIterationDespiteThrow)
-{
-    std::atomic<int> done{0};
-    EXPECT_THROW(exec::parallelFor(
-                     16,
-                     [&](std::size_t i) {
-                         if (i == 5)
-                             throw std::runtime_error("x");
-                         done++;
-                     },
-                     2),
-                 std::runtime_error);
-    EXPECT_EQ(done.load(), 15);
-}
-
-TEST(ThreadPool, ParallelMapPreservesOrder)
-{
-    std::vector<int> items;
-    for (int i = 0; i < 32; i++)
-        items.push_back(i);
-    auto out = exec::parallelMap(
-        items,
-        [](int v) {
-            // Reverse the natural completion order.
-            std::this_thread::sleep_for(
-                std::chrono::microseconds((32 - v) * 50));
-            return v * v;
-        },
-        4);
-    ASSERT_EQ(out.size(), items.size());
-    for (int i = 0; i < 32; i++)
-        EXPECT_EQ(out[i], i * i);
 }
 
 TEST(ThreadPool, ResolveThreadsPrefersExplicitThenEnv)

@@ -311,7 +311,10 @@ TEST(LockstepTest, ZeroRateNetworkStaysQuiet)
     EXPECT_TRUE(fast.quiescent());
     EXPECT_TRUE(naive.quiescent());
     EXPECT_EQ(fast.latency().count(), 0u);
-    EXPECT_EQ(fast.flitPool().capacity(), 0u);
+    EXPECT_EQ(fast.flitsInFlight(), 0u);
+    EXPECT_EQ(fast.deliveredFlits(), 0u);
+    EXPECT_EQ(naive.flitsInFlight(), 0u);
+    EXPECT_EQ(naive.deliveredFlits(), 0u);
 }
 
 TEST(LockstepTest, ForceTickAllCanBeToggledOff)

@@ -264,8 +264,8 @@ TEST(ParallelStepTest, StepperDetachRestoresSerialStepping)
         ASSERT_EQ(st[i].packet, mt[i].packet) << i;
         ASSERT_EQ(st[i].at, mt[i].at) << i;
     }
-    EXPECT_EQ(serial.flitPool().liveCount(),
-              mixed.flitPool().liveCount());
+    EXPECT_EQ(serial.flitsInFlight(), mixed.flitsInFlight());
+    EXPECT_EQ(serial.deliveredFlits(), mixed.deliveredFlits());
 }
 
 TEST(ParallelStepDeadlockSoak, KAry3CubeAtMaxInjection)

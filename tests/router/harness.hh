@@ -4,10 +4,6 @@
  * externally driven channels, a trivial routing function (the packet
  * destination *is* the output port), and helpers to inject flits,
  * return credits and observe departures cycle by cycle.
- *
- * The harness owns the FlitPool: inject() allocates a pooled slot for
- * the caller's flit, and step() copies departed flits out of the pool
- * (freeing the slots), so tests keep speaking plain sim::Flit values.
  */
 
 #ifndef PDR_TESTS_ROUTER_HARNESS_HH
@@ -34,13 +30,12 @@ class DirectRouting : public router::RoutingFunction
 class SingleRouter
 {
   public:
-    using FlitChannel = sim::Channel<sim::FlitRef>;
+    using FlitChannel = sim::Channel<sim::Flit>;
     using CreditChannel = sim::Channel<sim::Credit>;
 
     explicit SingleRouter(const router::RouterConfig &cfg,
                           int sink_port = sim::Invalid)
-        : router_(std::make_unique<router::Router>(0, cfg, routing_,
-                                                   pool_))
+        : router_(std::make_unique<router::Router>(0, cfg, routing_))
     {
         lastReady_.assign(cfg.numPorts, 0);
         for (int p = 0; p < cfg.numPorts; p++) {
@@ -57,7 +52,6 @@ class SingleRouter
     }
 
     router::Router &router() { return *router_; }
-    sim::FlitPool &pool() { return pool_; }
 
     /**
      * Inject a flit into input port `port`.  Arrivals are staggered to
@@ -68,11 +62,9 @@ class SingleRouter
     void
     inject(int port, const sim::Flit &f)
     {
-        sim::FlitRef ref = pool_.alloc();
-        pool_.get(ref) = f;
         sim::Cycle earliest = now_ + 1;
         sim::Cycle ready = std::max(earliest, lastReady_[port] + 1);
-        in_[port]->push(ref, now_, ready - earliest);
+        in_[port]->push(f, now_, ready - earliest);
         lastReady_[port] = ready;
     }
 
@@ -91,7 +83,7 @@ class SingleRouter
     void autoCredit(bool on) { autoCredit_ = on; }
 
     /** Step one cycle; returns flits that left the router this cycle
-     *  (popped from all output channels and released from the pool). */
+     *  (popped from all output channels). */
     std::vector<std::pair<int, sim::Flit>>
     step()
     {
@@ -99,12 +91,10 @@ class SingleRouter
         now_++;
         std::vector<std::pair<int, sim::Flit>> outs;
         for (int p = 0; p < int(out_.size()); p++) {
-            while (auto r = out_[p]->pop(now_ + 10)) {
-                sim::Flit f = pool_.get(*r);
-                pool_.free(*r);
+            while (auto f = out_[p]->pop(now_ + 10)) {
                 if (autoCredit_)
-                    creditToUs_[p]->push(sim::Credit{f.vc}, now_);
-                outs.push_back({p, f});
+                    creditToUs_[p]->push(sim::Credit{f->vc}, now_);
+                outs.push_back({p, *f});
             }
         }
         return outs;
@@ -151,7 +141,6 @@ class SingleRouter
 
   private:
     DirectRouting routing_;
-    sim::FlitPool pool_;
     std::unique_ptr<router::Router> router_;
     std::vector<std::unique_ptr<FlitChannel>> in_;
     std::vector<std::unique_ptr<FlitChannel>> out_;

@@ -43,14 +43,9 @@ TEST(RouterConfigTest, PipelineDepths)
 
 TEST(RouterConfigTest, CreditProcDefaultsToZero)
 {
-    RouterConfig cfg;
-    for (auto m : {RouterModel::Wormhole, RouterModel::VirtualChannel,
-                   RouterModel::SpecVirtualChannel}) {
-        cfg.model = m;
-        EXPECT_EQ(cfg.effectiveCreditProc(), 0);
-    }
-    cfg.creditProcCycles = 3;
-    EXPECT_EQ(cfg.effectiveCreditProc(), 3);
+    // Every model: the turnaround differences come from the pipeline
+    // depth, not from an extra credit pipeline.
+    EXPECT_EQ(RouterConfig{}.creditProcCycles, 0);
 }
 
 TEST(RouterConfigTest, Names)
@@ -85,7 +80,7 @@ TEST(RouterConfigValidate, BadBufDepthRejected)
 TEST(RouterConfigValidate, BadCreditProcRejected)
 {
     RouterConfig cfg;
-    cfg.creditProcCycles = -2;
+    cfg.creditProcCycles = -1;
     expectInvalid(cfg, "router.credit_proc");
 }
 

@@ -7,8 +7,8 @@
  * prove the detector detects: a clean audited run passes (and runs a
  * nonzero number of checks, bit-identical to an unaudited run), a
  * deliberately corrupted wake-table entry trips [AUD-WAKE] on the next
- * step, and a flit allocated but never queued trips [AUD-LEAK] at
- * teardown.  The per-cycle checks run at every worker count: the
+ * step, and a flit dropped from or copied onto a queue trips
+ * [AUD-LEAK] at teardown.  The checks run at every worker count: the
  * partitioned stepper runs them on worker 0 with the gang parked.
  */
 
@@ -40,6 +40,19 @@ auditedConfig()
     cfg.seed = 7;
     cfg.audit = true;
     return cfg;
+}
+
+/** Index of an ejection channel (one a sink consumes) holding a flit
+ *  right now, outside staged mode; numFlitChans() when there is none. */
+std::size_t
+busyEjectionChannel(net::Network &net)
+{
+    for (std::size_t i = 0; i < net.numFlitChans(); i++) {
+        if (net.flitChanConsumer(i) >= net.snkComp(0) &&
+            !net.flitChan(i).empty() && !net.flitChan(i).staged())
+            return i;
+    }
+    return net.numFlitChans();
 }
 
 } // namespace
@@ -144,18 +157,47 @@ TEST(Audit, CatchesBrokenNextWake)
 
 TEST(Audit, CatchesLeakedFlit)
 {
-    // Allocate a flit and drop the handle without queueing it
-    // anywhere: the pool thinks it is live, no queue reaches it.
-    net::Network net(auditedConfig());
-    net.run(100);
-    (void)net.flitPool().alloc();
-    try {
-        net.auditTeardown();
-        FAIL() << "leaked flit not detected";
-    } catch (const sim::AuditError &e) {
-        EXPECT_NE(std::string(e.what()).find("AUD-LEAK"),
-                  std::string::npos)
-            << e.what();
+    // Take one flit off an ejection channel -- the hop no credit loop
+    // (AUD-CREDIT) covers -- and either drop it or put it back twice.
+    for (bool duplicate : {false, true}) {
+        for (int workers : {1, 2, 4}) {
+            SCOPED_TRACE(std::string(duplicate ? "duplicated" : "lost") +
+                         ", par.workers = " + std::to_string(workers));
+            net::Network net(auditedConfig());
+            {
+                par::ParConfig pc;
+                pc.workers = workers;
+                par::ParallelStepper stepper(net, pc);
+                ASSERT_EQ(stepper.workers(), workers);
+                stepper.run(100);
+                std::size_t i = busyEjectionChannel(net);
+                for (int c = 0; c < 1000 && i == net.numFlitChans();
+                     c++) {
+                    stepper.run(1);
+                    i = busyEjectionChannel(net);
+                }
+                ASSERT_LT(i, net.numFlitChans()) << "no flit to take";
+                auto &chan = net.flitChan(i);
+                auto f = chan.pop(sim::CycleNever);
+                ASSERT_TRUE(f.has_value());
+                if (duplicate) {
+                    chan.push(*f, net.now(), 1);
+                    chan.push(*f, net.now(), 1);
+                }
+            }
+            try {
+                net.auditTeardown();
+                FAIL() << "flit conservation break not detected";
+            } catch (const sim::AuditError &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find("AUD-LEAK"), std::string::npos)
+                    << what;
+                EXPECT_NE(what.find(duplicate ? "1 flit(s) duplicated"
+                                              : "1 flit(s) lost"),
+                          std::string::npos)
+                    << what;
+            }
+        }
     }
 }
 

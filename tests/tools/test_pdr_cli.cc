@@ -296,6 +296,39 @@ TEST(PdrCliDiff, RowCountMismatchFails)
     EXPECT_NE(res.out.find("row count"), std::string::npos) << res.out;
 }
 
+TEST(PdrCliDiff, QuotedLabelsKeepColumnsAligned)
+{
+    // Sweep labels with a comma are written quoted; the mismatch must
+    // be reported under its own column, not one to the left.
+    auto a = writeTemp("quoted_a",
+                       "index,label,accepted_fraction,avg_latency\n"
+                       "0,\"specVC, credit prop 4\",0.0625,31.5\n");
+    auto b = writeTemp("quoted_b",
+                       "index,label,accepted_fraction,avg_latency\n"
+                       "0,\"specVC, credit prop 4\",0.0626,31.5\n");
+    auto res = run("diff " + a + " " + b);
+    EXPECT_EQ(res.status, 1) << res.out;
+    EXPECT_NE(res.out.find("row 0, accepted_fraction: '0.0625' vs "
+                           "'0.0626'"),
+              std::string::npos)
+        << res.out;
+    EXPECT_EQ(res.out.find("avg_latency"), std::string::npos)
+        << res.out;
+}
+
+TEST(PdrCliDiff, MalformedCsvNamesFileAndLine)
+{
+    auto a = writeTemp("unterminated_a", kCsvA);
+    auto b = writeTemp("unterminated_b",
+                       "index,label,avg_latency,drained\n"
+                       "0,\"p@0.1,30.25,true\n");
+    auto res = run("diff " + a + " " + b);
+    EXPECT_NE(res.status, 0);
+    EXPECT_NE(res.out.find("line 2: unterminated quoted cell"),
+              std::string::npos)
+        << res.out;
+}
+
 TEST(PdrCliDiff, MissingFileReportsError)
 {
     auto a = writeTemp("missing_a", kCsvA);

@@ -15,8 +15,7 @@ namespace {
 
 struct SourceJig
 {
-    sim::FlitPool pool;
-    sim::Channel<sim::FlitRef> flits{1};
+    sim::Channel<Flit> flits{1};
     sim::Channel<sim::Credit> credits{1};
     MeasureController ctrl;
     UniformPattern pattern{4};
@@ -35,8 +34,8 @@ struct SourceJig
         cfg.packetLength = len;
         cfg.packetRate = rate;
         cfg.seed = 5;
-        src = std::make_unique<Source>(1, cfg, pattern, ctrl, pool,
-                                       &flits, &credits);
+        src = std::make_unique<Source>(1, cfg, pattern, ctrl, &flits,
+                                       &credits);
     }
 
     std::vector<Flit>
@@ -46,12 +45,10 @@ struct SourceJig
         for (int i = 0; i < cycles; i++) {
             src->tick(now);
             now++;
-            while (auto r = flits.pop(now)) {
-                Flit f = pool.get(*r);
-                pool.free(*r);
+            while (auto f = flits.pop(now)) {
                 if (echo_credits)
-                    credits.push(sim::Credit{f.vc}, now);
-                out.push_back(f);
+                    credits.push(sim::Credit{f->vc}, now);
+                out.push_back(*f);
             }
         }
         return out;
@@ -195,8 +192,8 @@ struct BurstyJig : SourceJig
         cfg.packetRate = rate;
         cfg.burstOn = on;
         cfg.burstOff = off;
-        src = std::make_unique<Source>(1, cfg, pattern, ctrl, pool,
-                                       &flits, &credits);
+        src = std::make_unique<Source>(1, cfg, pattern, ctrl, &flits,
+                                       &credits);
     }
 };
 

@@ -30,7 +30,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -453,43 +452,14 @@ cmdSweep(const Options &opt)
     return results.failures() == 0 ? 0 : 1;
 }
 
-/** One parsed CSV: header cells + row cells. */
-struct CsvFile
-{
-    std::vector<std::string> header;
-    std::vector<std::vector<std::string>> rows;
-};
-
-CsvFile
+/** Read a CSV written by Table::writeCsv (quoted cells included). */
+stats::Table
 loadCsv(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         throw std::invalid_argument("cannot read '" + path + "'");
-    CsvFile csv;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r')
-            line.pop_back();
-        if (line.empty())
-            continue;
-        std::vector<std::string> cells;
-        std::size_t start = 0;
-        while (true) {
-            auto comma = line.find(',', start);
-            cells.push_back(line.substr(start, comma - start));
-            if (comma == std::string::npos)
-                break;
-            start = comma + 1;
-        }
-        if (csv.header.empty())
-            csv.header = std::move(cells);
-        else
-            csv.rows.push_back(std::move(cells));
-    }
-    if (csv.header.empty())
-        throw std::invalid_argument("'" + path + "' is empty");
-    return csv;
+    return stats::Table::readCsv(in, path);
 }
 
 /** Parse a full-cell double; false for non-numeric cells. */
@@ -531,19 +501,16 @@ cmdDiff(const Options &opt)
         mismatches++;
     };
 
-    if (a.header != b.header) {
+    if (a.header() != b.header()) {
         report("headers differ");
-    } else if (a.rows.size() != b.rows.size()) {
-        report(csprintf("row count differs: %zu vs %zu",
-                        a.rows.size(), b.rows.size()));
+    } else if (a.numRows() != b.numRows()) {
+        report(csprintf("row count differs: %zu vs %zu", a.numRows(),
+                        b.numRows()));
     } else {
-        for (std::size_t r = 0; r < a.rows.size(); r++) {
-            const auto &ra = a.rows[r];
-            const auto &rb = b.rows[r];
-            if (ra.size() != rb.size()) {
-                report(csprintf("row %zu: cell count differs", r));
-                continue;
-            }
+        // readCsv gives every row the header's cell count.
+        for (std::size_t r = 0; r < a.numRows(); r++) {
+            const auto &ra = a.rows()[r];
+            const auto &rb = b.rows()[r];
             for (std::size_t c = 0; c < ra.size(); c++) {
                 if (ra[c] == rb[c])
                     continue;
@@ -555,16 +522,15 @@ cmdDiff(const Options &opt)
                     if (std::fabs(va - vb) <= opt.tolerance * scale)
                         continue;
                 }
-                const char *col = c < a.header.size()
-                                      ? a.header[c].c_str() : "?";
-                report(csprintf("row %zu, %s: '%s' vs '%s'", r, col,
-                                ra[c].c_str(), rb[c].c_str()));
+                report(csprintf("row %zu, %s: '%s' vs '%s'", r,
+                                a.header()[c].c_str(), ra[c].c_str(),
+                                rb[c].c_str()));
             }
         }
     }
 
     if (mismatches == 0) {
-        std::printf("pdr diff: %zu rows match%s\n", a.rows.size(),
+        std::printf("pdr diff: %zu rows match%s\n", a.numRows(),
                     opt.tolerance > 0.0 ? " (within tolerance)" : "");
         return 0;
     }
@@ -608,7 +574,7 @@ cmdMerge(const Options &opt)
     for (const auto &path : opt.positional) {
         auto csv = loadCsv(path);
         if (header.empty()) {
-            header = csv.header;
+            header = csv.header();
             auto it = std::find(header.begin(), header.end(), "index");
             if (it == header.end()) {
                 throw std::invalid_argument(
@@ -616,20 +582,15 @@ cmdMerge(const Options &opt)
                     "sweep CSV?)");
             }
             index_col = std::size_t(it - header.begin());
-        } else if (csv.header != header) {
+        } else if (csv.header() != header) {
             throw std::invalid_argument(
                 "headers differ between '" + opt.positional.front() +
                 "' and '" + path + "'");
         }
-        for (auto &cells : csv.rows) {
-            if (cells.size() <= index_col) {
-                throw std::invalid_argument(
-                    "'" + path + "': row with no index cell");
-            }
+        for (const auto &cells : csv.rows()) {
             std::uint64_t idx =
                 parseU64("'" + path + "' index", cells[index_col]);
-            auto [it, inserted] =
-                rows.insert({idx, {std::move(cells), &path}});
+            auto [it, inserted] = rows.insert({idx, {cells, &path}});
             if (!inserted) {
                 throw std::invalid_argument(csprintf(
                     "overlapping point index %llu (in '%s' and '%s')",
@@ -654,26 +615,10 @@ cmdMerge(const Options &opt)
         expect++;
     }
 
-    std::ostringstream out;
-    for (std::size_t c = 0; c < header.size(); c++)
-        out << (c ? "," : "") << header[c];
-    out << "\n";
-    for (const auto &[idx, row] : rows) {
-        for (std::size_t c = 0; c < row.cells.size(); c++)
-            out << (c ? "," : "") << row.cells[c];
-        out << "\n";
-    }
-
-    if (opt.csvPath.empty() || opt.csvPath == "-") {
-        std::fputs(out.str().c_str(), stdout);
-    } else {
-        std::ofstream f(opt.csvPath);
-        if (!f) {
-            throw std::invalid_argument("cannot write '" +
-                                        opt.csvPath + "'");
-        }
-        f << out.str();
-    }
+    stats::Table merged(header);
+    for (const auto &[idx, row] : rows)
+        merged.addRow(row.cells);
+    writeTable(merged, false, opt.csvPath);
     std::fprintf(stderr, "merge: %zu rows from %zu shard(s)\n",
                  rows.size(), opt.positional.size());
     return 0;
