@@ -8,21 +8,27 @@
  * "buffers must cover the credit loop" rule of thumb.
  *
  *   $ ./credit_loop_study [vcs]
+ *
+ * A malformed argument prints `error: ...` naming it and exits 1.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "api/simulation.hh"
+#include "example_main.hh"
 
 using namespace pdr;
 using router::RouterModel;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    int vcs = argc > 1 ? std::atoi(argv[1]) : 2;
+    example::checkArgCount(argc, 1, "credit_loop_study [vcs]");
+    const int vcs =
+        int(example::paramArg(argc, argv, 1, "router.num_vcs", 2));
 
     std::printf("speculative VC router, %d VCs, 8x8 mesh, uniform "
                 "traffic\nsaturation throughput (fraction of capacity)"
@@ -75,4 +81,12 @@ main(int argc, char **argv)
                 "(paper Section 5.2 / Figure 18: 1 -> 4 cycles cost "
                 "specVC 2x4 ~18%% of its\nthroughput).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return example::guardedMain(run, argc, argv);
 }

@@ -10,24 +10,31 @@
  *   $ ./pipeline_explorer wh|vc|spec [p] [v] [w] [clk_tau4] [rv|rp|rpv]
  *
  * Passing "all" for [v] sweeps v in {1,2,4,8,16,32} and prints one
- * summary line per VC count.
+ * summary line per VC count.  p must be >= 2, v and w >= 1, and
+ * clk_tau4 >= 1 (a shorter clock would cut each module into
+ * thousands of stages).  A malformed argument prints `error: ...`
+ * naming it and exits 1.
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
+#include "example_main.hh"
 #include "pipeline/designer.hh"
 
 using namespace pdr;
 using namespace pdr::delay;
 using namespace pdr::pipeline;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     RouterParams prm;
     prm.kind = RouterKind::SpecVirtualChannel;
@@ -37,6 +44,9 @@ main(int argc, char **argv)
     prm.range = RoutingRange::Rv;
     double clk_tau4 = 20.0;
 
+    example::checkArgCount(argc, 6,
+                           "pipeline_explorer wh|vc|spec [p] [v|all] "
+                           "[w] [clk_tau4] [rv|rp|rpv]");
     if (argc > 1) {
         if (!std::strcmp(argv[1], "wh"))
             prm.kind = RouterKind::Wormhole;
@@ -44,26 +54,25 @@ main(int argc, char **argv)
             prm.kind = RouterKind::VirtualChannel;
         else if (!std::strcmp(argv[1], "spec"))
             prm.kind = RouterKind::SpecVirtualChannel;
-        else {
-            std::fprintf(stderr,
-                         "usage: %s wh|vc|spec [p] [v] [w] [clk_tau4] "
-                         "[rv|rp|rpv]\n", argv[0]);
-            return 1;
-        }
+        else
+            badValue("router kind", argv[1], "wh, vc or spec");
     }
     bool sweep_v = false;
     if (argc > 2)
-        prm.p = std::atoi(argv[2]);
+        prm.p = int(parseInt("p", argv[2], 2, INT_MAX));
     if (argc > 3) {
         if (!std::strcmp(argv[3], "all"))
             sweep_v = true;
         else
-            prm.v = std::atoi(argv[3]);
+            prm.v = int(parseInt("v", argv[3], 1, INT_MAX));
     }
     if (argc > 4)
-        prm.w = std::atoi(argv[4]);
-    if (argc > 5)
-        clk_tau4 = std::atof(argv[5]);
+        prm.w = int(parseInt("w", argv[4], 1, INT_MAX));
+    if (argc > 5) {
+        clk_tau4 = parseDouble("clk_tau4", argv[5]);
+        if (clk_tau4 < 1.0)
+            badValue("clk_tau4", argv[5], "a clock period >= 1 tau4");
+    }
     if (argc > 6) {
         if (!std::strcmp(argv[6], "rv"))
             prm.range = RoutingRange::Rv;
@@ -71,6 +80,8 @@ main(int argc, char **argv)
             prm.range = RoutingRange::Rp;
         else if (!std::strcmp(argv[6], "rpv"))
             prm.range = RoutingRange::Rpv;
+        else
+            badValue("routing range", argv[6], "rv, rp or rpv");
     }
     if (prm.kind == RouterKind::Wormhole)
         prm.v = 1;
@@ -139,4 +150,12 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return example::guardedMain(run, argc, argv);
 }

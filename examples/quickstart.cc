@@ -7,20 +7,26 @@
  * latency and accepted throughput.
  *
  *   $ ./quickstart [offered_fraction]
+ *
+ * A malformed argument prints `error: ...` naming it and exits 1.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "api/simulation.hh"
+#include "example_main.hh"
 
 using namespace pdr;
 using router::RouterModel;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    double offered = argc > 1 ? std::atof(argv[1]) : 0.4;
+    example::checkArgCount(argc, 1, "quickstart [offered_fraction]");
+    const double offered = example::paramArg(
+        argc, argv, 1, "traffic.offered_fraction", 0.4);
 
     std::printf("8x8 mesh, uniform traffic, 5-flit packets, offered "
                 "load %.0f%% of capacity\n\n", 100.0 * offered);
@@ -62,4 +68,12 @@ main(int argc, char **argv)
                 "router's latency while\nsustaining VC flow control's "
                 "higher throughput (paper, Section 5.1).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return example::guardedMain(run, argc, argv);
 }

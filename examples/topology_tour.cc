@@ -10,22 +10,28 @@
  * the rows.
  *
  *   $ ./topology_tour [offered_fraction] [k]
+ *
+ * A malformed argument prints `error: ...` naming it and exits 1.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "api/params.hh"
 #include "common/logging.hh"
+#include "example_main.hh"
 #include "exec/sweep.hh"
 
 using namespace pdr;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    double offered = argc > 1 ? std::atof(argv[1]) : 0.3;
-    int k = argc > 2 ? std::atoi(argv[2]) : 8;
+    example::checkArgCount(argc, 2, "topology_tour [offered_fraction] [k]");
+    const double offered = example::paramArg(
+        argc, argv, 1, "traffic.offered_fraction", 0.3);
+    const int k = int(example::paramArg(argc, argv, 2, "net.k", 8));
 
     std::string frac = csprintf("%.6f", offered);
 
@@ -82,4 +88,12 @@ main(int argc, char **argv)
                 "the dateline restriction halves the VCs available "
                 "per class.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return example::guardedMain(run, argc, argv);
 }

@@ -11,22 +11,29 @@
  * pattern you register yourself shows up in the table automatically.
  *
  *   $ ./traffic_patterns [offered_fraction]
+ *
+ * A malformed argument prints `error: ...` naming it and exits 1.
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "api/params.hh"
 #include "common/logging.hh"
+#include "example_main.hh"
 #include "exec/sweep.hh"
 #include "traffic/pattern.hh"
 
 using namespace pdr;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
-    double offered = argc > 1 ? std::atof(argv[1]) : 0.3;
+    example::checkArgCount(argc, 1,
+                           "traffic_patterns [offered_fraction]");
+    const double offered = example::paramArg(
+        argc, argv, 1, "traffic.offered_fraction", 0.3);
 
     api::Experiment exp;
     exp.name = "traffic-patterns";
@@ -78,4 +85,12 @@ main(int argc, char **argv)
     std::printf("\n(* = saturated at this load; latency reflects "
                 "delivered packets only)\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return example::guardedMain(run, argc, argv);
 }

@@ -2,8 +2,8 @@
  * @file
  * Packed bit-row helpers for the bitmask allocation engine.
  *
- * Request sets and priority-matrix rows are stored as arrays of
- * uint64_t words (bit i = requestor i).  Arbitration and allocation
+ * Request sets and free-VC sets are stored as arrays of uint64_t
+ * words (bit i = requestor i).  Arbitration and allocation
  * iterate only the set bits via count-trailing-zeros, so the cost
  * scales with the number of live requests, not the row width.  The
  * parameter schema caps router.num_ports and router.num_vcs at 64

@@ -1,71 +1,33 @@
 #include "arb/matrix_arbiter.hh"
 
-#include "common/logging.hh"
+#include <numeric>
 
 namespace pdr::arb {
 
-MatrixArbiter::MatrixArbiter(int n) : n_(n), words_(wordsFor(n))
+MatrixArbiter::MatrixArbiter(int n)
 {
     pdr_assert(n >= 1);
-    rows_.assign(std::size_t(n) * words_, 0);
-    pack_.assign(words_, 0);
-    // i beats j initially for all i < j: row i has bits (i, n) set.
-    for (int i = 0; i < n; i++) {
-        std::uint64_t *row = &rows_[std::size_t(i) * words_];
-        for (int j = i + 1; j < n; j++)
-            setBit(row, j);
-    }
+    // Reset state: i beats j for all i < j.
+    stamp_.resize(std::size_t(n));
+    std::iota(stamp_.begin(), stamp_.end(), std::uint64_t(0));
+    clock_ = std::uint64_t(n - 1);
 }
 
 bool
 MatrixArbiter::beats(int i, int j) const
 {
     pdr_assert(i != j);
-    return testBit(&rows_[std::size_t(i) * words_], j);
-}
-
-int
-MatrixArbiter::arbitrateWord(std::uint64_t requests) const
-{
-    pdr_assert(words_ == 1);
-    // Walk requestors in ascending order; i wins iff every other
-    // requestor is one i beats, i.e. no request bit survives outside
-    // row i (the scalar reference scans the same ascending order, and
-    // the priority state is a total order, so at most one index wins).
-    std::uint64_t m = requests;
-    while (m) {
-        int i = ctz64(m);
-        m &= m - 1;
-        if ((requests & ~rows_[i] & ~(std::uint64_t(1) << i)) == 0)
-            return i;
-    }
-    return NoGrant;
+    return stamp_[std::size_t(i)] < stamp_[std::size_t(j)];
 }
 
 int
 MatrixArbiter::arbitrateMask(const std::uint64_t *requests) const
 {
-    if (words_ == 1)
-        return arbitrateWord(requests[0]);
-    for (int w = 0; w < words_; w++) {
-        std::uint64_t m = requests[w];
-        while (m) {
-            int b = ctz64(m);
-            m &= m - 1;
-            int i = w * kWordBits + b;
-            const std::uint64_t *row = &rows_[std::size_t(i) * words_];
-            bool wins = true;
-            for (int k = 0; k < words_ && wins; k++) {
-                std::uint64_t others = requests[k] & ~row[k];
-                if (k == w)
-                    others &= ~(std::uint64_t(1) << b);
-                wins = others == 0;
-            }
-            if (wins)
-                return i;
-        }
-    }
-    return NoGrant;
+    int best = NoGrant;
+    const int words = wordsFor(size());
+    for (int w = 0; w < words; w++)
+        best = argmin(requests[w], w * kWordBits, best);
+    return best;
 }
 
 int
@@ -74,39 +36,14 @@ MatrixArbiter::arbitrate(const ReqRow &requests) const
     // Compatibility entry (tests and diagnostics): pack the byte row
     // into words and run the mask path.
     pdr_assert(int(requests.size()) == size());
-    for (int w = 0; w < words_; w++)
-        pack_[w] = 0;
+    std::vector<std::uint64_t> words(std::size_t(wordsFor(size())), 0);
     // pdr-lint: allow(PDR-PERF-DENSESCAN) compat entry; the router hot
     // path stages packed words and calls arbitrateMask directly
     for (int i = 0; i < size(); i++) {
-        if (requests[i])
-            setBit(pack_.data(), i);
+        if (requests[std::size_t(i)])
+            setBit(words.data(), i);
     }
-    return arbitrateMask(pack_.data());
-}
-
-void
-MatrixArbiter::update(int winner)
-{
-    if (winner == NoGrant)
-        return;
-    pdr_assert(winner >= 0 && winner < size());
-    // Winner drops to lowest priority: clear its row (it now beats
-    // nobody) and set its column bit in every other row.  The column
-    // write-back is inherently one bit per row; the arbitration-side
-    // win is what the packed layout buys.
-    std::uint64_t *wrow = &rows_[std::size_t(winner) * words_];
-    for (int w = 0; w < words_; w++)
-        wrow[w] = 0;
-    const std::size_t ww = std::size_t(winner) >> 6;
-    const std::uint64_t wbit = std::uint64_t(1) << (winner & 63);
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) column set over all rows is
-    // O(n) single-bit ORs, not a per-request scan; no packed shortcut
-    // exists for a strided column write
-    for (int j = 0; j < size(); j++) {
-        if (j != winner)
-            rows_[std::size_t(j) * words_ + ww] |= wbit;
-    }
+    return arbitrateMask(words.data());
 }
 
 void

@@ -379,6 +379,19 @@ Network::auditCycle()
         }
     }
 
+    // [AUD-WAKE], arrival masks: a router reads only the ports whose
+    // arrival bit is set, so a clear bit over a non-empty channel
+    // hides its items just as a late wake entry does.  The masks are
+    // kept under every schedule, forceTickAll included.
+    for (std::size_t i = 0; i < routers_.size(); i++) {
+        checks++;
+        std::string diag = routers_[i].auditArrivals();
+        if (!diag.empty()) {
+            auditor_->fail(now_, csprintf("router %zu", i), "AUD-WAKE",
+                           diag);
+        }
+    }
+
     // [AUD-CREDIT] Conservation: for every link and VC, buffer slots
     // are split between usable upstream credits, credits maturing in
     // the upstream pipeline, credits on the wire, flits buffered in

@@ -375,7 +375,8 @@ class Network
     /**
      * Per-cycle checks, run before a cycle's tick phases (by step(),
      * or by the parallel stepper's worker 0 with the gang parked):
-     * [AUD-WAKE] no consumer sleeps past a matured channel item;
+     * [AUD-WAKE] no consumer sleeps past a matured channel item, and
+     * no router's arrival mask hides a non-empty input channel;
      * [AUD-CREDIT] every link VC conserves its buffer depth;
      * [AUD-BID] every router's bid bitsets match a dense recompute.
      * Requires auditEnabled().

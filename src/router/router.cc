@@ -29,7 +29,11 @@ Router::Router(sim::NodeId id, const RouterConfig &cfg,
     bidActive_.assign(vcWords_, 0);
     outCredits_.assign(std::size_t(p) * std::size_t(v), cfg_.bufDepth);
     for (auto &ivc : invcs_)
-        ivc.fifo.init(cfg_.bufDepth);
+        ivc.fifo = sim::Ring<sim::Flit>(std::size_t(cfg_.bufDepth));
+    if (cfg_.creditProcCycles > 0) {
+        pendingCredits_ = sim::Ring<PendingCredit>(
+            std::size_t(p) * std::size_t(v) * std::size_t(cfg_.bufDepth));
+    }
 
     switch (cfg_.model) {
       case RouterModel::Wormhole:
@@ -66,6 +70,8 @@ Router::connectInput(int port, FlitChannel *in, CreditChannel *credit_out)
     pdr_assert(port >= 0 && port < cfg_.numPorts);
     inputs_[port].in = in;
     inputs_[port].creditOut = credit_out;
+    if (in)
+        in->watchArrivals(&flitArrivals_, port);
 }
 
 void
@@ -76,6 +82,8 @@ Router::connectOutput(int port, FlitChannel *out, CreditChannel *credit_in,
     outputs_[port].out = out;
     outputs_[port].creditIn = credit_in;
     outputs_[port].isSink = is_sink;
+    if (credit_in)
+        credit_in->watchArrivals(&creditArrivals_, port);
 }
 
 int
@@ -89,7 +97,7 @@ Router::buffered(int port) const
 {
     int n = 0;
     for (int vc = 0; vc < cfg_.numVcs; vc++)
-        n += invc(port, vc).fifo.size();
+        n += int(invc(port, vc).fifo.size());
     return n;
 }
 
@@ -97,10 +105,43 @@ int
 Router::auditPendingCredits(int out_port, int out_vc) const
 {
     int n = 0;
-    for (const auto &pc : pendingCredits_)
+    pendingCredits_.forEach([&](const PendingCredit &pc) {
         if (pc.port == out_port && pc.vc == out_vc)
             n++;
+    });
     return n;
+}
+
+std::string
+Router::auditArrivals() const
+{
+    auto describe = [](const char *what, int port, const auto &chan) {
+        return csprintf(
+            "%s port %d: channel holds %zu item(s), first ready at "
+            "cycle %llu, but its arrival bit is clear (the receive "
+            "phase would never read it)",
+            what, port, chan.inFlight(),
+            (unsigned long long)chan.nextReady());
+    };
+    for (int port = 0; port < cfg_.numPorts; port++) {
+        const FlitChannel *in = inputs_[port].in;
+        if (in && !in->empty() && !((flitArrivals_ >> port) & 1u))
+            return describe("flit channel into input", port, *in);
+        const CreditChannel *cin = outputs_[port].creditIn;
+        if (cin && !cin->empty() && !((creditArrivals_ >> port) & 1u))
+            return describe("credit channel into output", port, *cin);
+    }
+    return std::string();
+}
+
+int
+Router::dropFlitArrivalForTest()
+{
+    if (!flitArrivals_)
+        return -1;
+    const int port = arb::ctz64(flitArrivals_);
+    flitArrivals_ &= flitArrivals_ - 1;
+    return port;
 }
 
 std::string
@@ -239,42 +280,52 @@ Router::tick(sim::Cycle now)
 void
 Router::receiveCredits(sim::Cycle now)
 {
-    // Accept newly arrived credits into the processing pipeline first:
-    // with proc == 0 a credit is usable by this very cycle's allocation.
-    const int proc = cfg_.creditProcCycles;
-    for (int port = 0; port < cfg_.numPorts; port++) {
-        auto *chan = outputs_[port].creditIn;
-        if (!chan)
-            continue;
-        while (auto c = chan->pop(now)) {
-            pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
-            pendingCredits_.push_back(
-                {now + sim::Cycle(proc), port, c->vc});
-        }
-    }
-
-    // Apply credits that finished the processing pipeline.
+    // Apply credits that finished the processing pipeline (proc > 0;
+    // the ring stays empty at proc == 0).
     while (!pendingCredits_.empty() &&
            pendingCredits_.front().applyAt <= now) {
-        const auto &pc = pendingCredits_.front();
-        outCredits_[vidx(pc.port, pc.vc)]++;
-        pdr_assert(outCredits_[vidx(pc.port, pc.vc)] <= cfg_.bufDepth);
-        pendingCredits_.pop_front();
+        const PendingCredit &pc = pendingCredits_.front();
+        applyCredit(pc.port, pc.vc);
+        pendingCredits_.pop();
+    }
+
+    // Then accept the credits that arrived, visiting only the ports
+    // whose arrival bit is set.  With proc == 0 a credit is usable by
+    // this very cycle's allocation, so it applies as it is popped;
+    // otherwise it enters the pipeline, maturing after this tick.
+    const int proc = cfg_.creditProcCycles;
+    std::uint64_t ports = creditArrivals_;
+    while (ports) {
+        const int port = arb::ctz64(ports);
+        ports &= ports - 1;
+        CreditChannel *chan = outputs_[port].creditIn;
+        while (auto c = chan->pop(now)) {
+            pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
+            if (proc == 0) {
+                applyCredit(port, c->vc);
+            } else {
+                pendingCredits_.push(
+                    {now + sim::Cycle(proc), port, c->vc});
+            }
+        }
+        if (chan->empty())
+            creditArrivals_ &= ~(std::uint64_t(1) << port);
     }
 }
 
 void
 Router::receiveFlits(sim::Cycle now)
 {
-    for (int port = 0; port < cfg_.numPorts; port++) {
-        auto *chan = inputs_[port].in;
-        if (!chan)
-            continue;
+    std::uint64_t ports = flitArrivals_;
+    while (ports) {
+        const int port = arb::ctz64(ports);
+        ports &= ports - 1;
+        FlitChannel *chan = inputs_[port].in;
         while (auto r = chan->pop(now)) {
             sim::Flit &f = *r;
             pdr_assert(f.vc >= 0 && f.vc < cfg_.numVcs);
             auto &ivc = invc(port, f.vc);
-            pdr_assert(ivc.fifo.size() < cfg_.bufDepth);
+            pdr_assert(ivc.fifo.size() < std::size_t(cfg_.bufDepth));
             f.eligible = now + firstActionDelay();
             if (sim::isHead(f.type) && ivc.state == VcState::Idle) {
                 // Empty VC: decode + route this packet immediately (the
@@ -290,6 +341,8 @@ Router::receiveFlits(sim::Cycle now)
             syncBid(vidx(port, f.vc));
             stats_.flitsIn++;
         }
+        if (chan->empty())
+            flitArrivals_ &= ~(std::uint64_t(1) << port);
     }
 }
 
@@ -473,7 +526,8 @@ Router::departFlit(int in_port, int in_vc, int out_port, int out_vc,
 {
     auto &ivc = invc(in_port, in_vc);
     pdr_assert(!ivc.fifo.empty());
-    sim::Flit f = ivc.fifo.pop();
+    sim::Flit f = ivc.fifo.front();
+    ivc.fifo.pop();
     bufferedNow_--;
 
     // Freed buffer slot: return a credit upstream (none for injection
@@ -624,15 +678,15 @@ Router::nextWake(sim::Cycle now)
         }
     }
 
-    // External events: maturing credits and in-flight arrivals.
+    // External events: maturing credits and in-flight arrivals (a
+    // clear arrival bit is an empty channel, so only set bits can
+    // contribute).
     if (!pendingCredits_.empty())
         t = std::min(t, pendingCredits_.front().applyAt);
-    for (const auto &ip : inputs_)
-        if (ip.in)
-            t = std::min(t, ip.in->nextReady());
-    for (const auto &op : outputs_)
-        if (op.creditIn)
-            t = std::min(t, op.creditIn->nextReady());
+    for (std::uint64_t m = flitArrivals_; m; m &= m - 1)
+        t = std::min(t, inputs_[arb::ctz64(m)].in->nextReady());
+    for (std::uint64_t m = creditArrivals_; m; m &= m - 1)
+        t = std::min(t, outputs_[arb::ctz64(m)].creditIn->nextReady());
     return std::max(t, now + 1);
 }
 

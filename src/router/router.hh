@@ -24,15 +24,22 @@
  *
  * Credits: a departing flit frees its input-buffer slot and sends a
  * credit upstream; an arriving credit becomes usable by allocation after
- * creditProcCycles (default 0: usable by the arrival cycle's
- * allocation).  The paper's 4/5/4/2-cycle buffer-turnaround analysis
- * (Section 5.2) emerges from the pipeline depths alone.
+ * creditProcCycles (default 0: applied as it is popped, usable by the
+ * arrival cycle's allocation).  The paper's 4/5/4/2-cycle
+ * buffer-turnaround analysis (Section 5.2) emerges from the pipeline
+ * depths alone.
+ *
+ * Arrivals: each input flit channel and each output credit channel
+ * sets this router's bit for its port in flitArrivals_ /
+ * creditArrivals_ whenever an item lands in its live queue
+ * (sim::Channel::watchArrivals), so the receive phases and nextWake
+ * read only the ports with something in flight.  Channels point at
+ * those words: a wired router must not move.
  */
 
 #ifndef PDR_ROUTER_ROUTER_HH
 #define PDR_ROUTER_ROUTER_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +51,7 @@
 #include "router/routing.hh"
 #include "sim/channel.hh"
 #include "sim/flit.hh"
+#include "sim/ring.hh"
 
 namespace pdr::router {
 
@@ -92,7 +100,8 @@ class Router
     /**
      * Wire input port `port`: flits arrive on `in`; credits for freed
      * buffers are returned upstream on `credit_out` (nullptr for an
-     * unused edge port).
+     * unused edge port).  `in` flags its arrivals in this router's
+     * flit-arrival mask, so wire it before anything is pushed.
      */
     void connectInput(int port, FlitChannel *in,
                       CreditChannel *credit_out);
@@ -101,7 +110,8 @@ class Router
      * Wire output port `port`: departing flits go to `out`; credits
      * from the downstream input buffer come back on `credit_in`.
      * `is_sink` marks an ejection port (infinite downstream buffering,
-     * per the paper's immediate-ejection assumption).
+     * per the paper's immediate-ejection assumption).  `credit_in`
+     * flags its arrivals in this router's credit-arrival mask.
      */
     void connectOutput(int port, FlitChannel *out,
                        CreditChannel *credit_in, bool is_sink);
@@ -185,11 +195,28 @@ class Router
     /** Flits buffered in the input FIFO of exactly (port, vc). */
     int auditBuffered(int port, int vc) const
     {
-        return invc(port, vc).fifo.size();
+        return int(invc(port, vc).fifo.size());
     }
     /** Received credits for (outPort, outVc) still maturing in the
      *  credit-processing pipeline (not yet applied to credits()). */
     int auditPendingCredits(int out_port, int out_vc) const;
+    /**
+     * AUD-WAKE, arrival half: every input flit channel and output
+     * credit channel holding items must have its bit set in the
+     * arrival masks, or the receive phases would never read it.
+     * Returns an empty string when consistent, otherwise a diagnostic
+     * naming the first such port and channel kind.
+     */
+    std::string auditArrivals() const;
+
+    /**
+     * TEST ONLY: clear the lowest set bit of the flit-arrival mask,
+     * simulating a push that failed to flag its channel (the hazard
+     * auditArrivals exists to catch).  Returns the cleared input
+     * port, or -1 when no bit is set.
+     */
+    int dropFlitArrivalForTest();
+
     /**
      * AUD-BID: recompute the incremental allocation bitsets (RouteWait
      * bids, Active bids, free output-VC words) densely from the per-VC
@@ -210,7 +237,7 @@ class Router
     /** Per input virtual channel (per input port for WH). */
     struct InputVc
     {
-        sim::FlitFifo fifo;         //!< bufDepth-capacity flit ring.
+        sim::Ring<sim::Flit> fifo;  //!< Input buffer, sized to bufDepth.
         VcState state = VcState::Idle;
         sim::Cycle actReady = 0;    //!< Earliest first allocation action.
         sim::Cycle saReady = 0;     //!< Earliest switch request (VC).
@@ -271,6 +298,14 @@ class Router
                             int out_vc, sim::Cycle now);
 
     bool hasCredit(int out_port, int out_vc) const;
+    /** A credit for (out_port, out_vc) became usable. */
+    void
+    applyCredit(int out_port, int out_vc)
+    {
+        int &c = outCredits_[vidx(out_port, out_vc)];
+        c++;
+        pdr_assert(c <= cfg_.bufDepth);
+    }
     /** Earliest allocation action for a flit arriving now. */
     sim::Cycle firstActionDelay() const { return cfg_.singleCycle ? 1 : 2; }
 
@@ -404,7 +439,23 @@ class Router
             bidActive_[w] &= ~bit;
     }
 
-    std::deque<PendingCredit> pendingCredits_;
+    /**
+     * Ports with items in flight toward this router: bit port of
+     * flitArrivals_ is set iff inputs_[port].in holds items, bit port
+     * of creditArrivals_ iff outputs_[port].creditIn does (ports <= 64,
+     * RouterConfig::validate).  Channel pushes set the bits; the
+     * receive phases clear a bit when they empty its channel.
+     */
+    std::uint64_t flitArrivals_ = 0;
+    std::uint64_t creditArrivals_ = 0;
+
+    /**
+     * Credits waiting out a processing pipeline of creditProcCycles >
+     * 0 (empty at 0, where credits apply as they are popped).  Sized
+     * once to the credit-conservation bound -- no (port, vc) can owe
+     * more than bufDepth credits -- so it never grows.
+     */
+    sim::Ring<PendingCredit> pendingCredits_;
 
     /**
      * Interval-accounted input-buffer occupancy (stats_.bufOccupancy):

@@ -20,6 +20,20 @@
  * credits clear its wake entry and sleep until the credit that ends
  * the stall arrives (see Router::nextWake / Source::nextWake).
  *
+ * Storage is a power-of-two ring (sim::Ring) that starts with room for
+ * a few items and doubles only when a push finds it full, so no bound
+ * on the items in flight has to be proven: a standalone test may queue
+ * as many as it likes, and a network channel settles at the depth its
+ * latency needs and never allocates again.
+ *
+ * Arrival masks: a channel may also be told (watchArrivals) a word and
+ * a bit of its consuming router.  Every push that lands in the live
+ * queue sets that bit, so the router reads only the ports whose bit is
+ * set and clears a bit when it empties that port's channel: a set bit
+ * is exactly a non-empty live queue.  The channel keeps a pointer to
+ * the word, as it keeps one into the wake table, so the consumer must
+ * not move after wiring.
+ *
  * Partitioned stepping (src/par/) puts channels that cross a worker
  * boundary into *staged* mode: push() then appends to a private
  * single-producer staging buffer instead of the live queue, and
@@ -29,16 +43,21 @@
  * later, draining at the end of cycle t is indistinguishable from the
  * serial immediate push, and the min() wake update reproduces the
  * serial wake table exactly whatever the intra-cycle tick order was.
+ * The arrival bit follows the live queue: a staged push leaves it
+ * alone and drainStaged() sets it on the consumer's worker, so the
+ * arrival word, like the wake entry, is written only by the consumer's
+ * worker or while the gang is parked (an ordered source phase).
  */
 
 #ifndef PDR_SIM_CHANNEL_HH
 #define PDR_SIM_CHANNEL_HH
 
-#include <deque>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/logging.hh"
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace pdr::sim {
@@ -48,7 +67,8 @@ template <typename T>
 class Channel
 {
   public:
-    explicit Channel(Cycle latency = 1) : latency_(latency)
+    explicit Channel(Cycle latency = 1)
+        : latency_(latency), q_(kInitialCapacity)
     {
         pdr_assert(latency >= 1);
     }
@@ -65,6 +85,19 @@ class Channel
     {
         wakeAt_ = wake_at;
         comp_ = comp;
+    }
+
+    /**
+     * Wire up arrival flagging: every push that lands in the live
+     * queue sets bit `bit` of `*word` (the consuming router's
+     * flit- or credit-arrival mask).
+     */
+    void
+    watchArrivals(std::uint64_t *word, int bit)
+    {
+        pdr_assert(bit >= 0 && bit < 64);
+        arrivals_ = word;
+        arrivalBit_ = std::uint64_t(1) << bit;
     }
 
     /**
@@ -85,10 +118,7 @@ class Channel
             staged_.push_back({ready, item});
             return;
         }
-        pdr_assert(q_.empty() || q_.back().ready <= ready);
-        q_.push_back({ready, item});
-        if (wakeAt_ && ready < (*wakeAt_)[comp_])
-            (*wakeAt_)[comp_] = ready;
+        append({ready, item});
     }
 
     /**
@@ -106,18 +136,15 @@ class Channel
 
     /**
      * Merge staged pushes into the live queue and apply their deferred
-     * wake-table updates.  Called by the consumer's worker after the
-     * phase barrier, so it never races the producer or consumer.
+     * wake-table and arrival-bit updates.  Called by the consumer's
+     * worker after the phase barrier, so it never races the producer
+     * or consumer.
      */
     void
     drainStaged()
     {
-        for (const Entry &e : staged_) {
-            pdr_assert(q_.empty() || q_.back().ready <= e.ready);
-            q_.push_back(e);
-            if (wakeAt_ && e.ready < (*wakeAt_)[comp_])
-                (*wakeAt_)[comp_] = e.ready;
-        }
+        for (const Entry &e : staged_)
+            append(e);
         staged_.clear();
     }
 
@@ -128,7 +155,7 @@ class Channel
         if (q_.empty() || q_.front().ready > now)
             return std::nullopt;
         T item = q_.front().item;
-        q_.pop_front();
+        q_.pop();
         return item;
     }
 
@@ -156,8 +183,7 @@ class Channel
     void
     forEachInFlight(Fn fn) const
     {
-        for (const Entry &e : q_)
-            fn(e.ready, e.item);
+        q_.forEach([&](const Entry &e) { fn(e.ready, e.item); });
     }
 
   private:
@@ -167,11 +193,31 @@ class Channel
         T item;
     };
 
+    /** Ring slots before the first growth: enough for a 1-cycle link
+     *  behind the crossbar stage (at most three items in flight);
+     *  longer paths grow once or twice and stay there. */
+    static constexpr std::size_t kInitialCapacity = 4;
+
+    /** Enqueue on the live ring, flag the arrival and lower the
+     *  consumer's wake entry. */
+    void
+    append(const Entry &e)
+    {
+        pdr_assert(q_.empty() || q_.back().ready <= e.ready);
+        q_.push(e);
+        if (arrivals_)
+            *arrivals_ |= arrivalBit_;
+        if (wakeAt_ && e.ready < (*wakeAt_)[comp_])
+            (*wakeAt_)[comp_] = e.ready;
+    }
+
     Cycle latency_;
-    std::deque<Entry> q_;
+    Ring<Entry> q_;
     std::vector<Entry> staged_;             //!< Cross-partition buffer.
     std::vector<Cycle> *wakeAt_ = nullptr;  //!< Consumer wake table.
     std::size_t comp_ = 0;                  //!< Consumer component id.
+    std::uint64_t *arrivals_ = nullptr;     //!< Consumer arrival mask.
+    std::uint64_t arrivalBit_ = 0;          //!< This channel's bit.
     bool staging_ = false;                  //!< Crosses a partition.
 };
 

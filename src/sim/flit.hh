@@ -1,6 +1,6 @@
 /**
  * @file
- * Flits, credits, packet descriptors and the router input-buffer FIFO.
+ * Flits, credits and packet descriptors.
  *
  * Packets are segmented into flits: one head (carrying the destination
  * used by the routing logic), body flits, and one tail (which releases
@@ -18,9 +18,8 @@
 #ifndef PDR_SIM_FLIT_HH
 #define PDR_SIM_FLIT_HH
 
-#include <vector>
+#include <cstdint>
 
-#include "common/logging.hh"
 #include "sim/types.hh"
 
 namespace pdr::sim {
@@ -82,65 +81,6 @@ struct Credit
 };
 
 const char *toString(FlitType t);
-
-/**
- * Fixed-capacity FIFO of flits (a router input buffer): capacity fixed
- * at construction (the buffer depth), a plain ring over contiguous
- * storage, no allocation after init().
- */
-class FlitFifo
-{
-  public:
-    /** Set the capacity; clears the queue.  Allocate-once. */
-    void
-    init(int capacity)
-    {
-        pdr_assert(capacity >= 1);
-        ring_.assign(std::size_t(capacity), Flit{});
-        head_ = 0;
-        size_ = 0;
-    }
-
-    bool empty() const { return size_ == 0; }
-    int size() const { return size_; }
-    int capacity() const { return int(ring_.size()); }
-
-    /** The oldest flit, in place (not a copy). */
-    Flit &
-    front()
-    {
-        pdr_assert(size_ > 0);
-        return ring_[head_];
-    }
-
-    void
-    push(const Flit &f)
-    {
-        pdr_assert(size_ < int(ring_.size()));
-        std::size_t tail = head_ + std::size_t(size_);
-        if (tail >= ring_.size())
-            tail -= ring_.size();
-        ring_[tail] = f;
-        size_++;
-    }
-
-    Flit
-    pop()
-    {
-        pdr_assert(size_ > 0);
-        Flit f = ring_[head_];
-        head_++;
-        if (head_ >= ring_.size())
-            head_ = 0;
-        size_--;
-        return f;
-    }
-
-  private:
-    std::vector<Flit> ring_;
-    std::size_t head_ = 0;
-    int size_ = 0;
-};
 
 } // namespace pdr::sim
 

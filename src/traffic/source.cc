@@ -12,6 +12,7 @@ Source::Source(sim::NodeId node, const SourceConfig &cfg,
     : node_(node), cfg_(cfg), pattern_(pattern), ctrl_(ctrl),
       out_(to_router), creditIn_(credits_back),
       rng_(cfg.seed ^ (0xabcd1234ULL * (node + 1))),
+      pendingCredits_(std::size_t(cfg.numVcs) * std::size_t(cfg.bufDepth)),
       nextId_((sim::PacketId(node) << 40) + 1)
 {
     pdr_assert(cfg.numVcs >= 1);
@@ -114,12 +115,12 @@ Source::applyCredits(sim::Cycle now)
         credits_[pendingCredits_.front().second]++;
         pdr_assert(credits_[pendingCredits_.front().second] <=
                    cfg_.bufDepth);
-        pendingCredits_.pop_front();
+        pendingCredits_.pop();
     }
     if (creditIn_) {
         while (auto c = creditIn_->pop(now)) {
             pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
-            pendingCredits_.push_back({now + 1, c->vc});
+            pendingCredits_.push({now + 1, c->vc});
         }
     }
 }

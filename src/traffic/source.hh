@@ -38,6 +38,7 @@
 #include "router/routing.hh"
 #include "sim/channel.hh"
 #include "sim/flit.hh"
+#include "sim/ring.hh"
 #include "traffic/measure.hh"
 #include "traffic/pattern.hh"
 
@@ -123,9 +124,10 @@ class Source
     auditPendingCredits(int vc) const
     {
         int n = 0;
-        for (const auto &pc : pendingCredits_)
+        pendingCredits_.forEach([&](const auto &pc) {
             if (pc.second == vc)
                 n++;
+        });
         return n;
     }
 
@@ -175,7 +177,9 @@ class Source
     std::deque<PendingPacket> queue_;
     std::vector<Stream> streams_;      //!< One per injection VC.
     std::vector<int> credits_;         //!< Per injection VC.
-    std::deque<std::pair<sim::Cycle, int>> pendingCredits_;
+    /** One-cycle credit pipeline, sized once to the conservation
+     *  bound (numVcs * bufDepth credits) so it never grows. */
+    sim::Ring<std::pair<sim::Cycle, int>> pendingCredits_;
     int rrVc_ = 0;                     //!< Round-robin send pointer.
     int rrAssign_ = 0;                 //!< Round-robin VC assignment.
 

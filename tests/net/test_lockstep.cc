@@ -9,7 +9,9 @@
  * identical configs and require identical delivered-packet traces
  * (packet id, destination, ejection cycle, latency, in ejection
  * order), identical latency statistics, and identical router counters
- * -- across router models, topologies, patterns and loads.
+ * -- across router models, topologies, patterns and loads.  The
+ * credit-pipeline cases also step the skipping network through a
+ * partitioned stepper and run it audited.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <string>
 
 #include "net/network.hh"
+#include "par/stepper.hh"
 
 using namespace pdr;
 
@@ -38,9 +41,14 @@ baseConfig(router::RouterModel model, int vcs, int buf)
     return cfg;
 }
 
-/** Step both networks `cycles` cycles, comparing traces as they grow. */
+/**
+ * Step both networks `cycles` cycles, comparing traces as they grow.
+ * The skipping network steps through a ParallelStepper of `workers`
+ * workers (1 = plain Network::step()).
+ */
 void
-expectLockstep(const net::NetworkConfig &cfg, sim::Cycle cycles)
+expectLockstep(const net::NetworkConfig &cfg, sim::Cycle cycles,
+               int workers = 1)
 {
     net::Network fast(cfg);
     net::Network naive(cfg);
@@ -50,11 +58,17 @@ expectLockstep(const net::NetworkConfig &cfg, sim::Cycle cycles)
     fast.recordDeliveries(&ft);
     naive.recordDeliveries(&nt);
 
-    for (sim::Cycle c = 0; c < cycles; c++) {
-        fast.step();
-        naive.step();
-        ASSERT_EQ(ft.size(), nt.size())
-            << "delivery count diverged at cycle " << c;
+    {
+        par::ParConfig pc;
+        pc.workers = workers;
+        par::ParallelStepper stepper(fast, pc);
+        ASSERT_EQ(stepper.workers(), workers);
+        for (sim::Cycle c = 0; c < cycles; c++) {
+            stepper.step();
+            naive.step();
+            ASSERT_EQ(ft.size(), nt.size())
+                << "delivery count diverged at cycle " << c;
+        }
     }
 
     for (std::size_t i = 0; i < ft.size(); i++) {
@@ -138,6 +152,75 @@ TEST(LockstepTest, SlowCreditsFig18Shape)
     cfg.creditLatency = 4;
     cfg.setOfferedFraction(0.5);
     expectLockstep(cfg, 4000);
+}
+
+namespace {
+
+/**
+ * Credits that mature for router.credit_proc cycles after a 4-cycle
+ * credit path: a credit channel holds more items than a channel
+ * ring's first capacity, and the routers' pending-credit rings hold
+ * several credits at once.
+ */
+net::NetworkConfig
+creditPipelineConfig(int proc)
+{
+    auto cfg = baseConfig(router::RouterModel::SpecVirtualChannel, 2, 4);
+    cfg.creditLatency = 4;
+    cfg.router.creditProcCycles = proc;
+    cfg.setOfferedFraction(0.5);
+    return cfg;
+}
+
+} // namespace
+
+TEST(LockstepTest, CreditPipelineSkippingMatchesTickAll)
+{
+    for (int proc : {1, 3}) {
+        for (int workers : {1, 4}) {
+            SCOPED_TRACE("router.credit_proc = " + std::to_string(proc) +
+                         ", par.workers = " + std::to_string(workers));
+            expectLockstep(creditPipelineConfig(proc), 3000, workers);
+        }
+    }
+}
+
+TEST(LockstepTest, CreditPipelineAuditedRuns)
+{
+    // The auditor counts maturing credits into AUD-CREDIT and checks
+    // the arrival masks under AUD-WAKE every cycle; an audited run
+    // must pass and deliver exactly what an unaudited one does.
+    for (int proc : {1, 3}) {
+        auto cfg = creditPipelineConfig(proc);
+        cfg.audit = false;
+        net::Network plain(cfg);
+        std::vector<traffic::Delivery> pt;
+        plain.recordDeliveries(&pt);
+        plain.run(3000);
+        ASSERT_GT(pt.size(), 0u);
+        cfg.audit = true;
+        for (int workers : {1, 4}) {
+            SCOPED_TRACE("router.credit_proc = " + std::to_string(proc) +
+                         ", par.workers = " + std::to_string(workers));
+            net::Network audited(cfg);
+            std::vector<traffic::Delivery> at;
+            audited.recordDeliveries(&at);
+            {
+                par::ParConfig pc;
+                pc.workers = workers;
+                par::ParallelStepper stepper(audited, pc);
+                ASSERT_EQ(stepper.workers(), workers);
+                EXPECT_NO_THROW(stepper.run(3000));
+            }
+            EXPECT_NO_THROW(audited.auditTeardown());
+            EXPECT_GT(audited.auditor()->checksRun(), 0u);
+            ASSERT_EQ(at.size(), pt.size());
+            for (std::size_t i = 0; i < at.size(); i++) {
+                EXPECT_EQ(at[i].packet, pt[i].packet) << "delivery " << i;
+                EXPECT_EQ(at[i].at, pt[i].at) << "delivery " << i;
+            }
+        }
+    }
 }
 
 TEST(LockstepTest, BurstyMmppArrivals)

@@ -153,3 +153,31 @@ INSTANTIATE_TEST_SUITE_P(
                     ModelCase{RouterModel::SpecVirtualChannel, 4, false},
                     ModelCase{RouterModel::SpecVirtualChannel, 2, true}),
     name);
+
+TEST(RouterDeathTest, InputBufferOverflowPanics)
+{
+    // The input buffer is a growable sim::Ring; what refuses a flit
+    // beyond bufDepth is the router's receive phase.  Credits keep a
+    // real upstream from ever sending one, so the jig ignores them: a
+    // packet longer than the buffer plus the downstream credits, with
+    // no credit ever returned.
+    RouterConfig cfg;
+    cfg.model = RouterModel::VirtualChannel;
+    cfg.numVcs = 1;
+    cfg.bufDepth = 2;
+    EXPECT_DEATH(
+        {
+            SingleRouter h(cfg);
+            const int len = 10;
+            for (int i = 0; i < len; i++) {
+                const FlitType type = i == 0 ? FlitType::Head
+                                      : i == len - 1 ? FlitType::Tail
+                                                     : FlitType::Body;
+                h.inject(1, SingleRouter::makeFlit(7, type, 0, 2,
+                                                   std::uint8_t(i)));
+            }
+            for (int c = 0; c < 4 * len; c++)
+                h.step();
+        },
+        "bufDepth");
+}

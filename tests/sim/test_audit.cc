@@ -7,7 +7,8 @@
  * prove the detector detects: a clean audited run passes (and runs a
  * nonzero number of checks, bit-identical to an unaudited run), a
  * deliberately corrupted wake-table entry trips [AUD-WAKE] on the next
- * step, and a flit dropped from or copied onto a queue trips
+ * step, so does a router arrival bit cleared over a non-empty
+ * channel, and a flit dropped from or copied onto a queue trips
  * [AUD-LEAK] at teardown.  The checks run at every worker count: the
  * partitioned stepper runs them on worker 0 with the gang parked.
  */
@@ -149,6 +150,49 @@ TEST(Audit, CatchesBrokenNextWake)
                       std::string::npos)
                 << e.what();
             EXPECT_NE(std::string(e.what()).find("router 0"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Audit, CatchesClearedArrivalBit)
+{
+    // Clear one set bit of a router's flit-arrival mask -- a push that
+    // failed to flag its channel.  The receive phase would never read
+    // that channel again, so [AUD-WAKE] must name the router, the port
+    // and the channel kind before the next cycle ticks.
+    for (int workers : {1, 2, 4}) {
+        SCOPED_TRACE("par.workers = " + std::to_string(workers));
+        net::Network net(auditedConfig());
+        par::ParConfig pc;
+        pc.workers = workers;
+        par::ParallelStepper stepper(net, pc);
+        ASSERT_EQ(stepper.workers(), workers);
+        stepper.run(20);  // Get traffic in flight.
+        std::string where;
+        for (int c = 0; c < 1000 && where.empty(); c++) {
+            for (sim::NodeId r = 0; r < net.lattice().numRouters(); r++) {
+                int port = net.routerAt(r).dropFlitArrivalForTest();
+                if (port >= 0) {
+                    where = "router " + std::to_string(r) +
+                            ": flit channel into input port " +
+                            std::to_string(port) + ":";
+                    break;
+                }
+            }
+            if (where.empty())
+                stepper.run(1);
+        }
+        ASSERT_FALSE(where.empty()) << "no flit in flight to hide";
+        try {
+            stepper.run(1);
+            FAIL() << "cleared arrival bit not detected";
+        } catch (const sim::AuditError &e) {
+            EXPECT_NE(std::string(e.what()).find("AUD-WAKE"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find(where),
                       std::string::npos)
                 << e.what();
         }

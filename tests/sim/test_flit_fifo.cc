@@ -1,8 +1,9 @@
-/** @file Tests for the fixed-capacity flit FIFO (router input buffer). */
+/** @file Tests for the flit FIFO of a router input buffer (a sim::Ring). */
 
 #include <gtest/gtest.h>
 
 #include "sim/flit.hh"
+#include "sim/ring.hh"
 
 using namespace pdr::sim;
 
@@ -16,37 +17,44 @@ flitOf(PacketId packet)
     return f;
 }
 
+/** Pop the oldest flit. */
+Flit
+take(Ring<Flit> &f)
+{
+    Flit out = f.front();
+    f.pop();
+    return out;
+}
+
 } // namespace
 
 TEST(FlitFifoTest, FifoOrderAndWraparound)
 {
-    FlitFifo f;
-    f.init(3);
+    Ring<Flit> f(3);
     EXPECT_TRUE(f.empty());
-    EXPECT_EQ(f.capacity(), 3);
     // Push/pop past the capacity several times to exercise the wrap.
     PacketId next = 0;
     PacketId expect = 0;
     for (int round = 0; round < 5; round++) {
         f.push(flitOf(next++));
         f.push(flitOf(next++));
-        EXPECT_EQ(f.size(), 2);
+        EXPECT_EQ(f.size(), 2u);
         EXPECT_EQ(f.front().packet, expect);
-        EXPECT_EQ(f.pop().packet, expect++);
-        EXPECT_EQ(f.pop().packet, expect++);
+        EXPECT_EQ(take(f).packet, expect++);
+        EXPECT_EQ(take(f).packet, expect++);
         EXPECT_TRUE(f.empty());
     }
 }
 
 TEST(FlitFifoTest, FillsToCapacity)
 {
-    FlitFifo f;
-    f.init(4);
+    Ring<Flit> f(4);
     for (PacketId i = 0; i < 4; i++)
         f.push(flitOf(i));
-    EXPECT_EQ(f.size(), 4);
+    EXPECT_EQ(f.size(), 4u);
+    EXPECT_EQ(f.back().packet, 3u);
     for (PacketId i = 0; i < 4; i++)
-        EXPECT_EQ(f.pop().packet, i);
+        EXPECT_EQ(take(f).packet, i);
 }
 
 TEST(FlitFifoTest, FrontIsWritableInPlace)
@@ -54,14 +62,13 @@ TEST(FlitFifoTest, FrontIsWritableInPlace)
     // front() is the buffered flit itself: a field written through it
     // travels with the flit when it is popped, and the flits behind
     // it are left alone.
-    FlitFifo f;
-    f.init(2);
+    Ring<Flit> f(2);
     f.push(flitOf(1));
     f.push(flitOf(2));
     f.front().eligible = 42;
     f.front().vc = 3;
     f.front().vclass = 1;
-    Flit out = f.pop();
+    Flit out = take(f);
     EXPECT_EQ(out.packet, 1u);
     EXPECT_EQ(out.eligible, 42u);
     EXPECT_EQ(out.vc, 3);
@@ -71,18 +78,14 @@ TEST(FlitFifoTest, FrontIsWritableInPlace)
     EXPECT_EQ(f.front().vc, 0);
 }
 
-TEST(FlitFifoDeathTest, OverflowPanics)
-{
-    FlitFifo f;
-    f.init(2);
-    f.push(flitOf(0));
-    f.push(flitOf(1));
-    EXPECT_DEATH(f.push(flitOf(2)), "");
-}
-
 TEST(FlitFifoDeathTest, PopEmptyPanics)
 {
-    FlitFifo f;
-    f.init(2);
+    Ring<Flit> f(2);
     EXPECT_DEATH(f.pop(), "");
+}
+
+TEST(FlitFifoDeathTest, FrontOfEmptyPanics)
+{
+    Ring<Flit> f(2);
+    EXPECT_DEATH(f.front(), "");
 }
