@@ -229,15 +229,6 @@ defs()
              c.net.router.bufDepth =
                  int(parseInt("router.buf_depth", v, 1, 1 << 20));
          }},
-        {"router.credit_proc",
-         "cycles from credit arrival to usability (>= 0)",
-         [](const SimConfig &c) {
-             return std::to_string(c.net.router.creditProcCycles);
-         },
-         [](SimConfig &c, const std::string &v) {
-             c.net.router.creditProcCycles =
-                 int(parseInt("router.credit_proc", v, 0, 1 << 20));
-         }},
         {"router.spec_equal_priority",
          "ablation: drop the non-spec-over-spec allocator priority",
          [](const SimConfig &c) {

@@ -193,8 +193,12 @@ Network::Network(const NetworkConfig &cfg)
         sim::NodeId r = mesh_.routerOf(node);
         int lport = mesh_.localPort(mesh_.localIndexOf(node));
 
+        // Injection credits take one cycle of wire plus one of the
+        // source's credit stage.
+        const sim::Cycle wire = 1, source_stage = 1;
         auto *inj = newFlitChan(1, srcComp(node), rtrComp(r));
-        auto *inj_credit = newCreditChan(1, rtrComp(r), srcComp(node));
+        auto *inj_credit = newCreditChan(wire + source_stage, rtrComp(r),
+                                         srcComp(node));
         routers_[r].connectInput(lport, inj, inj_credit);
         sources_.emplace_back(node, scfg, *pattern_, ctrl_, inj,
                               inj_credit);
@@ -206,8 +210,8 @@ Network::Network(const NetworkConfig &cfg)
 
         auto *ej = newFlitChan(1, rtrComp(r), snkComp(node));
         routers_[r].connectOutput(lport, ej, nullptr, true);
-        sinks_.emplace_back(node, cfg_.packetLength, ctrl_, ej,
-                            sinkLatency_[node]);
+        sinks_.emplace_back(node, cfg_.packetLength, cfg_.router.numVcs,
+                            ctrl_, ej, sinkLatency_[node]);
     }
 
     pdr_assert(int(flitChans_.size()) == edges + 2 * nodes);
@@ -250,12 +254,24 @@ Network::forceTickAll(bool on)
 }
 
 void
-Network::recordDeliveries(std::vector<traffic::Delivery> *trace)
+Network::recordDeliveries(bool on)
 {
-    trace_ = trace;
-    traceGen_++;
     for (auto &s : sinks_)
-        s.recordDeliveries(trace);
+        s.recordDeliveries(on);
+}
+
+std::vector<traffic::Delivery>
+Network::takeDeliveries()
+{
+    // Each log is in its sink's ejection order, so node order plus a
+    // stable sort by cycle is the order a serial step() ejects in.
+    std::vector<traffic::Delivery> out;
+    for (auto &s : sinks_)
+        s.takeDeliveries(out);
+    std::stable_sort(out.begin(), out.end(),
+                     [](const traffic::Delivery &a,
+                        const traffic::Delivery &b) { return a.at < b.at; });
+    return out;
 }
 
 void
@@ -393,23 +409,18 @@ Network::auditCycle()
     }
 
     // [AUD-CREDIT] Conservation: for every link and VC, buffer slots
-    // are split between usable upstream credits, credits maturing in
-    // the upstream pipeline, credits on the wire, flits buffered in
-    // the downstream FIFO and flits on the wire.  Every transition
-    // moves a slot between buckets within one tick, so at every cycle
-    // boundary the sum is exactly the configured buffer depth.
+    // are split between usable upstream credits, credits on the wire,
+    // flits buffered in the downstream FIFO and flits on the wire.
+    // Every transition moves a slot between buckets within one tick,
+    // so at every cycle boundary the sum is exactly the configured
+    // buffer depth.
     const int depth = cfg_.router.bufDepth;
     for (const AuditLink &l : auditLinks_) {
         for (int v = 0; v < cfg_.router.numVcs; v++) {
-            int held, maturing;
-            if (l.upRouter != sim::Invalid) {
-                held = routers_[l.upRouter].credits(l.outPort, v);
-                maturing = routers_[l.upRouter].auditPendingCredits(
-                    l.outPort, v);
-            } else {
-                held = sources_[l.upNode].auditCredits(v);
-                maturing = sources_[l.upNode].auditPendingCredits(v);
-            }
+            const int held =
+                l.upRouter != sim::Invalid
+                    ? routers_[l.upRouter].credits(l.outPort, v)
+                    : sources_[l.upNode].auditCredits(v);
             int wire_credits = 0;
             creditChans_[l.creditChan].forEachInFlight(
                 [&](sim::Cycle, const sim::Credit &c) {
@@ -425,8 +436,7 @@ Network::auditCycle()
             int buffered =
                 routers_[l.downRouter].auditBuffered(l.inPort, v);
             checks++;
-            int sum =
-                held + maturing + wire_credits + wire_flits + buffered;
+            int sum = held + wire_credits + wire_flits + buffered;
             if (sum != depth) {
                 std::string up =
                     l.upRouter != sim::Invalid
@@ -436,10 +446,10 @@ Network::auditCycle()
                 auditor_->fail(
                     now_, up, "AUD-CREDIT",
                     csprintf("VC %d toward router %d port %d: held %d "
-                             "+ maturing %d + credits on wire %d + "
-                             "flits on wire %d + buffered %d = %d, "
-                             "expected buffer depth %d",
-                             v, l.downRouter, l.inPort, held, maturing,
+                             "+ credits on wire %d + flits on wire %d "
+                             "+ buffered %d = %d, expected buffer "
+                             "depth %d",
+                             v, l.downRouter, l.inPort, held,
                              wire_credits, wire_flits, buffered, sum,
                              depth));
             }

@@ -281,21 +281,17 @@ class Network
      */
     void forceTickAll(bool on);
 
-    /** Append every delivered packet (network-wide, in ejection
-     *  order) to `trace`; nullptr disables. */
-    void recordDeliveries(std::vector<traffic::Delivery> *trace);
+    /** Have every sink log its delivered packets while `on` (off by
+     *  default); takeDeliveries() collects the logs. */
+    void recordDeliveries(bool on);
 
-    /** The trace last set by recordDeliveries (the stepper re-shards
-     *  it per worker and merges back in node order). */
-    std::vector<traffic::Delivery> *deliveryTrace() const
-    {
-        return trace_;
-    }
-
-    /** Bumped by every recordDeliveries call -- even one re-passing
-     *  the same pointer re-points the sinks, so the stepper keys its
-     *  shard rebinding off this, not the pointer value. */
-    std::uint64_t deliveryTraceGen() const { return traceGen_; }
+    /**
+     * The packets delivered since the last call while recording, in
+     * serial ejection order -- cycle first, then node -- whatever the
+     * worker count that stepped them; clears the sinks' logs.  Call
+     * between cycles.
+     */
+    std::vector<traffic::Delivery> takeDeliveries();
 
     /**
      * Count router ticks into `weights` (one slot per router, index
@@ -328,8 +324,6 @@ class Network
     {
         return sinks_[n];
     }
-    /** Mutable sink access (the stepper re-points delivery traces). */
-    traffic::Sink &sinkRefAt(sim::NodeId n) { return sinks_[n]; }
 
     /** Merged latency statistics over the sample space. */
     stats::LatencyStats latency() const;
@@ -443,9 +437,6 @@ class Network
     bool forceTickAll_ = false;
 
     sim::Cycle now_ = 0;
-
-    std::vector<traffic::Delivery> *trace_ = nullptr;
-    std::uint64_t traceGen_ = 0;
 
     /** Per-router tick-weight sink (engine profiler); see
      *  profileTickWeights(). */

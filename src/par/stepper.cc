@@ -78,9 +78,6 @@ ParallelStepper::ParallelStepper(net::Network &net, const ParConfig &cfg)
         }
     }
 
-    workerTrace_.resize(std::size_t(W_));
-    syncTrace();
-
     threads_.reserve(std::size_t(W_ - 1));
     for (int w = 1; w < W_; w++)
         threads_.emplace_back([this, w] { workerLoop(w); });
@@ -96,8 +93,8 @@ ParallelStepper::~ParallelStepper()
     for (auto &t : threads_)
         t.join();
 
-    // Restore serial stepping state: direct channel mode (staging
-    // buffers are empty between cycles) and the user's delivery trace.
+    // Restore serial stepping: direct channel mode (staging buffers
+    // are empty between cycles).
     for (auto &list : flitDrain_) {
         for (auto *c : list)
             c->setStaged(false);
@@ -105,27 +102,6 @@ ParallelStepper::~ParallelStepper()
     for (auto &list : creditDrain_) {
         for (auto *c : list)
             c->setStaged(false);
-    }
-    net_.recordDeliveries(net_.deliveryTrace());
-}
-
-void
-ParallelStepper::syncTrace()
-{
-    // Keyed off the registration generation, not the pointer: a
-    // recordDeliveries() call re-passing the bound pointer still
-    // re-points every sink at the shared vector, which must be undone
-    // before the next parallel sink phase.
-    if (net_.deliveryTraceGen() == boundTraceGen_)
-        return;
-    boundTraceGen_ = net_.deliveryTraceGen();
-    auto *trace = net_.deliveryTrace();
-    boundTrace_ = trace;
-    const auto &lat = net_.lattice();
-    for (sim::NodeId n = 0; n < lat.numNodes(); n++) {
-        net_.sinkRefAt(n).recordDeliveries(
-            trace ? &workerTrace_[std::size_t(part_.ownerOfNode(n))]
-                  : nullptr);
     }
 }
 
@@ -146,16 +122,6 @@ ParallelStepper::drainSlice(int w)
         c->drainStaged();
     for (auto *c : creditDrain_[std::size_t(w)])
         c->drainStaged();
-    if (w == 0 && boundTrace_) {
-        // Concatenating the shards in worker order reproduces the
-        // serial ejection order: blocks are ascending node ranges and
-        // every entry is from the cycle that just ran.
-        for (auto &shard : workerTrace_) {
-            boundTrace_->insert(boundTrace_->end(), shard.begin(),
-                                shard.end());
-            shard.clear();
-        }
-    }
 }
 
 void
@@ -203,7 +169,6 @@ ParallelStepper::step()
     // serial step() audits before its tick phases.
     if (net_.auditEnabled())
         net_.auditCycle();
-    syncTrace();
     if (prof_)
         prof_->mark(0, prof::Profiler::Phase::Tick);
 

@@ -16,22 +16,21 @@
  *      workers.
  *   B  every worker drains the staged buffers of the cross-boundary
  *      channels *it consumes*, merging items and applying the deferred
- *      wake-table updates; worker 0 also concatenates the per-worker
- *      delivery-trace shards in worker (== node) order.
+ *      wake-table updates.
  *
  * Determinism: components only communicate through >= 1-cycle
  * channels, so intra-cycle order is immaterial; the deferred wake
  * update is min(), which reproduces the serial wake table exactly;
  * flits cross a partition by value inside the staged channel, so no
- * flit storage is shared between workers; per-sink statistics shards
- * merge in index order at readout; and the one order-sensitive piece
- * of shared state -- the measurement controller's sample-space
- * tagging -- is classified per cycle by MeasureController::tagMode():
- * on the rare boundary cycle where the quota runs out mid-cycle, the
- * source phase runs serially in node order before the gang is
- * released.  Results are therefore bit-identical to Network::step()
- * for any worker count, which tests/net/test_lockstep.cc and
- * tests/par/ enforce.
+ * flit storage is shared between workers; per-sink statistics and
+ * delivery logs merge in node order at readout; and the one
+ * order-sensitive piece of shared state -- the measurement
+ * controller's sample-space tagging -- is classified per cycle by
+ * MeasureController::tagMode(): on the rare boundary cycle where the
+ * quota runs out mid-cycle, the source phase runs serially in node
+ * order before the gang is released.  Results are therefore
+ * bit-identical to Network::step() for any worker count, which
+ * tests/net/test_lockstep.cc and tests/par/ enforce.
  *
  * Between cycles the gang is parked at the cycle-start barrier, after
  * the drain: the wake table is globally consistent and staging is
@@ -109,8 +108,8 @@ class ParallelStepper
      */
     ParallelStepper(net::Network &net, const ParConfig &cfg);
 
-    /** Detaches: joins the gang and restores serial stepping state
-     *  (channel modes, delivery traces). */
+    /** Detaches: joins the gang and puts every channel back in
+     *  direct (serial) mode. */
     ~ParallelStepper();
 
     ParallelStepper(const ParallelStepper &) = delete;
@@ -153,7 +152,6 @@ class ParallelStepper
     void workerLoop(int w);
     void runSlice(int w);
     void drainSlice(int w);
-    void syncTrace();
 
     net::Network &net_;
     Partitioner part_;
@@ -164,13 +162,6 @@ class ParallelStepper
     std::vector<std::vector<net::Network::FlitChannel *>> flitDrain_;
     std::vector<std::vector<net::Network::CreditChannel *>>
         creditDrain_;
-
-    /** Per-worker delivery buffers, merged in worker order each
-     *  cycle when the user attached a trace. */
-    std::vector<std::vector<traffic::Delivery>> workerTrace_;
-    std::vector<traffic::Delivery> *boundTrace_ = nullptr;
-    /** Network trace-registration generation last synced. */
-    std::uint64_t boundTraceGen_ = 0;
 
     std::vector<std::thread> threads_;  //!< Workers 1..W-1.
     prof::Profiler *prof_ = nullptr;    //!< Engine profiler, optional.

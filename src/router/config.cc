@@ -74,11 +74,6 @@ RouterConfig::validate() const
         throw std::invalid_argument(csprintf(
             "router.buf_depth must be >= 1, got %d", bufDepth));
     }
-    if (creditProcCycles < 0) {
-        throw std::invalid_argument(csprintf(
-            "router.credit_proc must be >= 0, got %d",
-            creditProcCycles));
-    }
 }
 
 } // namespace pdr::router

@@ -13,13 +13,12 @@
  * router fits in one cycle (the commonly assumed unit-latency model the
  * paper argues against).
  *
- * Credit processing: a credit arriving at a router becomes usable by the
- * switch allocator `creditProcCycles` after arrival (default 0: usable
- * the cycle it arrives).  The paper's buffer-turnaround differences
- * (Figure 16 / Section 5.2: 4 cycles for WH and specVC, 5 for VC, 2 for
- * the single-cycle model) emerge structurally from the pipeline position
- * of switch allocation; creditProcCycles > 0 models an additional credit
- * pipeline for ablation studies.
+ * Credits: a credit arriving at a router is usable by the switch
+ * allocator the cycle it arrives.  The paper's buffer-turnaround
+ * differences (Figure 16 / Section 5.2: 4 cycles for WH and specVC, 5
+ * for VC, 2 for the single-cycle model) emerge structurally from the
+ * pipeline position of switch allocation; a slower credit loop is a
+ * longer credit channel (NetworkConfig::creditLatency).
  */
 
 #ifndef PDR_ROUTER_CONFIG_HH
@@ -60,9 +59,6 @@ struct RouterConfig
     int numVcs = 1;
     /** Buffer depth in flits per VC FIFO (WH: per input port). */
     int bufDepth = 8;
-    /** Cycles from credit arrival to usability (0 = the arrival
-     *  cycle's allocation may use it). */
-    int creditProcCycles = 0;
     /**
      * Ablation: drop the non-spec-over-spec priority of the
      * speculative switch allocator and arbitrate all requests in one
@@ -88,7 +84,6 @@ operator==(const RouterConfig &a, const RouterConfig &b)
     return a.model == b.model && a.singleCycle == b.singleCycle &&
            a.numPorts == b.numPorts && a.numVcs == b.numVcs &&
            a.bufDepth == b.bufDepth &&
-           a.creditProcCycles == b.creditProcCycles &&
            a.specEqualPriority == b.specEqualPriority;
 }
 

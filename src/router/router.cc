@@ -30,10 +30,6 @@ Router::Router(sim::NodeId id, const RouterConfig &cfg,
     outCredits_.assign(std::size_t(p) * std::size_t(v), cfg_.bufDepth);
     for (auto &ivc : invcs_)
         ivc.fifo = sim::Ring<sim::Flit>(std::size_t(cfg_.bufDepth));
-    if (cfg_.creditProcCycles > 0) {
-        pendingCredits_ = sim::Ring<PendingCredit>(
-            std::size_t(p) * std::size_t(v) * std::size_t(cfg_.bufDepth));
-    }
 
     switch (cfg_.model) {
       case RouterModel::Wormhole:
@@ -98,17 +94,6 @@ Router::buffered(int port) const
     int n = 0;
     for (int vc = 0; vc < cfg_.numVcs; vc++)
         n += int(invc(port, vc).fifo.size());
-    return n;
-}
-
-int
-Router::auditPendingCredits(int out_port, int out_vc) const
-{
-    int n = 0;
-    pendingCredits_.forEach([&](const PendingCredit &pc) {
-        if (pc.port == out_port && pc.vc == out_vc)
-            n++;
-    });
     return n;
 }
 
@@ -280,20 +265,9 @@ Router::tick(sim::Cycle now)
 void
 Router::receiveCredits(sim::Cycle now)
 {
-    // Apply credits that finished the processing pipeline (proc > 0;
-    // the ring stays empty at proc == 0).
-    while (!pendingCredits_.empty() &&
-           pendingCredits_.front().applyAt <= now) {
-        const PendingCredit &pc = pendingCredits_.front();
-        applyCredit(pc.port, pc.vc);
-        pendingCredits_.pop();
-    }
-
-    // Then accept the credits that arrived, visiting only the ports
-    // whose arrival bit is set.  With proc == 0 a credit is usable by
-    // this very cycle's allocation, so it applies as it is popped;
-    // otherwise it enters the pipeline, maturing after this tick.
-    const int proc = cfg_.creditProcCycles;
+    // Visit only the ports whose arrival bit is set.  A credit is
+    // usable by this very cycle's allocation, so it applies as it is
+    // popped.
     std::uint64_t ports = creditArrivals_;
     while (ports) {
         const int port = arb::ctz64(ports);
@@ -301,12 +275,9 @@ Router::receiveCredits(sim::Cycle now)
         CreditChannel *chan = outputs_[port].creditIn;
         while (auto c = chan->pop(now)) {
             pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
-            if (proc == 0) {
-                applyCredit(port, c->vc);
-            } else {
-                pendingCredits_.push(
-                    {now + sim::Cycle(proc), port, c->vc});
-            }
+            int &credits = outCredits_[vidx(port, c->vc)];
+            credits++;
+            pdr_assert(credits <= cfg_.bufDepth);
         }
         if (chan->empty())
             creditArrivals_ &= ~(std::uint64_t(1) << port);
@@ -350,12 +321,6 @@ void
 Router::vaPhase(sim::Cycle now)
 {
     const int v = cfg_.numVcs;
-    // vaGrantedNow only matters within the tick that granted it; clear
-    // exactly last tick's grantees instead of sweeping.
-    for (std::size_t vi : vaGranted_)
-        invcs_[vi].vaGrantedNow = false;
-    vaGranted_.clear();
-
     vaReqs_.clear();
     saReqs_.clear();
 
@@ -395,8 +360,6 @@ Router::vaPhase(sim::Cycle now)
         ivc.outVc = g.outVc;
         ivc.state = VcState::Active;
         ivc.vaGrantTick = now;
-        ivc.vaGrantedNow = true;
-        vaGranted_.push_back(vi);
         syncBid(vi);
         // Non-speculative switch requests start next cycle (same cycle
         // for the unit-latency model).
@@ -476,7 +439,7 @@ Router::saPhaseVc(sim::Cycle now)
     auto consider = [&](int vi) {
         auto &ivc = invcs_[vi];
         pdr_assert(ivc.state == VcState::Active && !ivc.fifo.empty());
-        if (ivc.vaGrantedNow && !cfg_.singleCycle)
+        if (ivc.vaGrantTick == now && !cfg_.singleCycle)
             return;     // Covered by its speculative bid (specVC).
         const auto &f = ivc.fifo.front();
         if (now < f.eligible || now < ivc.saReady)
@@ -504,13 +467,14 @@ Router::saPhaseVc(sim::Cycle now)
         // bidding for (or just received) its output VC this cycle.
         bool spec = g.spec ||
                     (equal_prio && (ivc.state == VcState::RouteWait ||
-                                    ivc.vaGrantedNow));
+                                    ivc.vaGrantTick == now));
         if (spec) {
             stats_.specSaWins++;
             // Speculation pays off only if VA succeeded this very cycle
             // and the granted output VC has a buffer; otherwise the
             // crossbar slot is wasted (Section 3.1).
-            if (!ivc.vaGrantedNow || !hasCredit(ivc.route, ivc.outVc))
+            if (ivc.vaGrantTick != now ||
+                !hasCredit(ivc.route, ivc.outVc))
                 continue;
             stats_.specSaUseful++;
         }
@@ -678,11 +642,8 @@ Router::nextWake(sim::Cycle now)
         }
     }
 
-    // External events: maturing credits and in-flight arrivals (a
-    // clear arrival bit is an empty channel, so only set bits can
-    // contribute).
-    if (!pendingCredits_.empty())
-        t = std::min(t, pendingCredits_.front().applyAt);
+    // External events: in-flight arrivals (a clear arrival bit is an
+    // empty channel, so only set bits can contribute).
     for (std::uint64_t m = flitArrivals_; m; m &= m - 1)
         t = std::min(t, inputs_[arb::ctz64(m)].in->nextReady());
     for (std::uint64_t m = creditArrivals_; m; m &= m - 1)

@@ -23,11 +23,11 @@
  *   link.  The single-cycle model acts at t+1 with no crossbar stage.
  *
  * Credits: a departing flit frees its input-buffer slot and sends a
- * credit upstream; an arriving credit becomes usable by allocation after
- * creditProcCycles (default 0: applied as it is popped, usable by the
- * arrival cycle's allocation).  The paper's 4/5/4/2-cycle
- * buffer-turnaround analysis (Section 5.2) emerges from the pipeline
- * depths alone.
+ * credit upstream; an arriving credit is applied as it is popped, so
+ * the arrival cycle's allocation may use it.  The credit channel's
+ * latency (net.credit_latency) is the whole credit delay, and the
+ * paper's 4/5/4/2-cycle buffer-turnaround analysis (Section 5.2)
+ * emerges from the pipeline depths alone.
  *
  * Arrivals: each input flit channel and each output credit channel
  * sets this router's bit for its port in flitArrivals_ /
@@ -130,8 +130,8 @@ class Router
      * stall statistic is interval-accounted and the credit that ends
      * the stall arrives through a watched channel, which re-lowers the
      * wake entry.  Internal future deadlines (pipeline eligibility,
-     * VA-to-SA latency, maturing credits) and in-flight channel
-     * arrivals bound the result; CycleNever when fully idle.
+     * VA-to-SA latency) and in-flight channel arrivals bound the
+     * result; CycleNever when fully idle.
      *
      * Non-const: deciding to sleep on a ready-but-creditless VC opens
      * its stall interval (openStall), so that a stall *entered* during
@@ -197,9 +197,6 @@ class Router
     {
         return int(invc(port, vc).fifo.size());
     }
-    /** Received credits for (outPort, outVc) still maturing in the
-     *  credit-processing pipeline (not yet applied to credits()). */
-    int auditPendingCredits(int out_port, int out_vc) const;
     /**
      * AUD-WAKE, arrival half: every input flit channel and output
      * credit channel holding items must have its bit set in the
@@ -241,8 +238,9 @@ class Router
         VcState state = VcState::Idle;
         sim::Cycle actReady = 0;    //!< Earliest first allocation action.
         sim::Cycle saReady = 0;     //!< Earliest switch request (VC).
-        sim::Cycle vaGrantTick = 0; //!< When VA succeeded (spec check).
-        bool vaGrantedNow = false;  //!< VA granted in the current tick.
+        /** Cycle of the last VA grant; `vaGrantTick == now` is "VA
+         *  granted this tick" (the speculation check). */
+        sim::Cycle vaGrantTick = sim::CycleNever;
         int route = sim::Invalid;   //!< Routed output port.
         int outVc = sim::Invalid;   //!< Allocated output VC.
         /** Start of the open credit-stall interval (CycleNever when
@@ -275,14 +273,6 @@ class Router
         int heldBy = sim::Invalid;  //!< Wormhole per-packet port hold.
     };
 
-    /** Credit received, waiting out the processing pipeline. */
-    struct PendingCredit
-    {
-        sim::Cycle applyAt;
-        int port;
-        int vc;
-    };
-
     // Tick phases, in order.
     void receiveCredits(sim::Cycle now);
     void receiveFlits(sim::Cycle now);
@@ -298,14 +288,6 @@ class Router
                             int out_vc, sim::Cycle now);
 
     bool hasCredit(int out_port, int out_vc) const;
-    /** A credit for (out_port, out_vc) became usable. */
-    void
-    applyCredit(int out_port, int out_vc)
-    {
-        int &c = outCredits_[vidx(out_port, out_vc)];
-        c++;
-        pdr_assert(c <= cfg_.bufDepth);
-    }
     /** Earliest allocation action for a flit arriving now. */
     sim::Cycle firstActionDelay() const { return cfg_.singleCycle ? 1 : 2; }
 
@@ -358,9 +340,9 @@ class Router
      * (port, vc) will be stalled from cycle `at` on (nextWake decided
      * to sleep on a ready-but-creditless VC): open the interval unless
      * one is already open.  The condition cannot silently end -- the
-     * credit that would end it arrives during a tick (watched channel
-     * or maturing pipeline), which closes the interval at that tick
-     * with the cycles [at, tick) folded in.
+     * credit that would end it arrives on a watched channel during a
+     * tick, which closes the interval at that tick with the cycles
+     * [at, tick) folded in.
      */
     void
     openStall(InputVc &ivc, sim::Cycle at)
@@ -417,11 +399,6 @@ class Router
     std::vector<std::uint64_t> bidActive_;
     int vcWords_ = 1;   //!< Words per bid bitset (wordsFor(p * v)).
 
-    /** VCs whose vaGrantedNow flag is set; the flag only matters
-     *  within the granting tick, so the next vaPhase clears exactly
-     *  these instead of sweeping every VC. */
-    std::vector<std::size_t> vaGranted_;
-
     /** Re-derive (port, vc)'s bits in the bid bitsets from its state. */
     void
     syncBid(std::size_t vi)
@@ -448,14 +425,6 @@ class Router
      */
     std::uint64_t flitArrivals_ = 0;
     std::uint64_t creditArrivals_ = 0;
-
-    /**
-     * Credits waiting out a processing pipeline of creditProcCycles >
-     * 0 (empty at 0, where credits apply as they are popped).  Sized
-     * once to the credit-conservation bound -- no (port, vc) can owe
-     * more than bufDepth credits -- so it never grows.
-     */
-    sim::Ring<PendingCredit> pendingCredits_;
 
     /**
      * Interval-accounted input-buffer occupancy (stats_.bufOccupancy):

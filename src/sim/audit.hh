@@ -18,9 +18,9 @@
  *     have acted under forceTickAll but not under the skipping
  *     schedule -- a broken nextWake() or a missed Channel::watch.
  *   - credit conservation [AUD-CREDIT]: for every (link, VC), credits
- *     held upstream + credits maturing in the upstream pipeline +
- *     credits on the wire + flits buffered downstream + flits on the
- *     wire must equal the configured buffer depth, every cycle.
+ *     held upstream + credits on the wire + flits buffered downstream
+ *     + flits on the wire must equal the configured buffer depth,
+ *     every cycle.
  *   - allocation-bitset consistency [AUD-BID]: every router's
  *     incremental RouteWait/Active bid bitsets and free output-VC
  *     words (the sparse sets the allocation phases and nextWake

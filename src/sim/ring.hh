@@ -2,12 +2,12 @@
  * @file
  * A FIFO ring over contiguous power-of-two storage.
  *
- * Channels queue their in-flight items here, router input buffers
- * their flits, and the credit pipelines of routers and sources their
- * maturing credits.  Indexing is a mask, not a modulo, and the ring
- * doubles only when a push finds it full, so a queue sized for the
- * common case needs no proof of a bound to stay correct, and one
- * sized to a proven bound never allocates after construction.
+ * Channels queue their in-flight items here (flits and credits alike),
+ * and router input buffers their flits.  Indexing is a mask, not a
+ * modulo, and the ring doubles only when a push finds it full, so a
+ * queue sized for the common case needs no proof of a bound to stay
+ * correct, and one sized to a proven bound never allocates after
+ * construction.
  */
 
 #ifndef PDR_SIM_RING_HH

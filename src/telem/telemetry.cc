@@ -122,11 +122,10 @@ Telemetry::Telemetry(const Config &cfg, net::Network &net,
                                 "host: workers");
         host_.bind(trace_.get());
 
-        // Read-only hooks: the sinks append deliveries (the stepper
-        // re-shards this per worker and merges back in node order),
-        // and each router appends its closed credit-stall spans to
-        // its own buffer.
-        net_.recordDeliveries(&deliveries_);
+        // Read-only hooks: the sinks log their deliveries, and each
+        // router appends its closed credit-stall spans to its own
+        // buffer.
+        net_.recordDeliveries(true);
         stallSpans_.resize(std::size_t(net_.lattice().numRouters()));
         for (sim::NodeId r = 0; r < net_.lattice().numRouters(); r++)
             net_.routerAt(r).traceStalls(&stallSpans_[std::size_t(r)]);
@@ -277,11 +276,10 @@ Telemetry::emitProfEpoch(const prof::Epoch &e)
 void
 Telemetry::drainPacketSpans()
 {
-    // Deliveries arrive in ejection order (serial and partitioned
-    // stepping agree; the stepper merges worker shards per cycle in
-    // node order).  Sampling by packet id keeps the traced subset
+    // takeDeliveries() returns the serial ejection order at every
+    // worker count, and sampling by packet id keeps the traced subset
     // identical across worker counts.
-    for (const auto &d : deliveries_) {
+    for (const auto &d : net_.takeDeliveries()) {
         if (d.packet % cfg_.tracePackets != 0)
             continue;
         trace_->completeEvent(
@@ -290,7 +288,6 @@ Telemetry::drainPacketSpans()
             csprintf("{\"packet\": %llu, \"dest\": %d}",
                      (unsigned long long)d.packet, int(d.dest)));
     }
-    deliveries_.clear();
 }
 
 void
@@ -346,10 +343,9 @@ Telemetry::finish()
         trace_->close();
 
     // Detach the read hooks so the network outlives the facade
-    // cleanly (the stepper re-binds its shards off the generation
-    // counter on its next step, if any).
+    // cleanly.
     if (!cfg_.trace.empty()) {
-        net_.recordDeliveries(nullptr);
+        net_.recordDeliveries(false);
         for (sim::NodeId r = 0;
              r < net_.lattice().numRouters(); r++)
             net_.routerAt(r).traceStalls(nullptr);

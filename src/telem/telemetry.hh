@@ -20,8 +20,10 @@
  * state is globally consistent and reads race with nothing.
  *
  * Lifetime: construct after the Network (and stepper), destroy (or
- * finish()) before them -- the facade detaches its delivery-trace and
- * stall-span hooks at finish.
+ * finish()) before them -- the facade turns the sinks' delivery logs
+ * off and detaches its stall-span hooks at finish.  While a trace is
+ * open the facade owns the delivery logs: its packet spans read
+ * Network::takeDeliveries() at every epoch.
  *
  * The hard contract of the whole subsystem: telemetry is read-only
  * with respect to simulation state.  RNG streams, wake tables and
@@ -152,9 +154,6 @@ class Telemetry : public net::EpochObserver
     std::unique_ptr<StreamSampler> sampler_;
     HostProfiler host_;
 
-    /** Delivery-trace buffer (attached via Network::recordDeliveries;
-     *  drained and cleared at every epoch). */
-    std::vector<traffic::Delivery> deliveries_;
     /** Per-router closed stall spans (one vector per router so
      *  concurrently ticking workers never share a buffer). */
     std::vector<std::vector<router::Router::StallSpan>> stallSpans_;

@@ -12,7 +12,6 @@ Source::Source(sim::NodeId node, const SourceConfig &cfg,
     : node_(node), cfg_(cfg), pattern_(pattern), ctrl_(ctrl),
       out_(to_router), creditIn_(credits_back),
       rng_(cfg.seed ^ (0xabcd1234ULL * (node + 1))),
-      pendingCredits_(std::size_t(cfg.numVcs) * std::size_t(cfg.bufDepth)),
       nextId_((sim::PacketId(node) << 40) + 1)
 {
     pdr_assert(cfg.numVcs >= 1);
@@ -93,13 +92,9 @@ Source::nextWake(sim::Cycle now) const
                 return now + 1;
     }
 
-    // No usable credit: sleep until one matures (or until the warmup
+    // No usable credit: sleep until one arrives (or until the warmup
     // boundary, where the tagging-sensitive span begins).
-    sim::Cycle t = sim::CycleNever;
-    if (!pendingCredits_.empty())
-        t = pendingCredits_.front().first;
-    if (creditIn_)
-        t = std::min(t, creditIn_->nextReady());
+    sim::Cycle t = creditIn_ ? creditIn_->nextReady() : sim::CycleNever;
     if (cfg_.packetRate > 0.0 && now + 1 < ctrl_.warmup())
         t = std::min(t, ctrl_.warmup());
     return std::max(t, now + 1);
@@ -108,20 +103,12 @@ Source::nextWake(sim::Cycle now) const
 void
 Source::applyCredits(sim::Cycle now)
 {
-    // Credits become usable the cycle after arrival (the source has a
-    // single-stage credit pipeline).
-    while (!pendingCredits_.empty() &&
-           pendingCredits_.front().first <= now) {
-        credits_[pendingCredits_.front().second]++;
-        pdr_assert(credits_[pendingCredits_.front().second] <=
-                   cfg_.bufDepth);
-        pendingCredits_.pop();
-    }
-    if (creditIn_) {
-        while (auto c = creditIn_->pop(now)) {
-            pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
-            pendingCredits_.push({now + 1, c->vc});
-        }
+    if (!creditIn_)
+        return;
+    while (auto c = creditIn_->pop(now)) {
+        pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
+        credits_[c->vc]++;
+        pdr_assert(credits_[c->vc] <= cfg_.bufDepth);
     }
 }
 

@@ -12,7 +12,8 @@
  * creation times are exactly those of the queued process.  The
  * source streams packets into the router's injection port flit by flit,
  * respecting credit-based flow control exactly like an upstream router:
- * it tracks per-VC credits for the injection input buffers and may
+ * it tracks per-VC credits for the injection input buffers, applying
+ * each credit as it pops it off the injection credit channel, and may
  * stream up to `numVcs` packets concurrently (one per VC), sending at
  * most one flit per cycle over the injection channel.
  *
@@ -38,7 +39,6 @@
 #include "router/routing.hh"
 #include "sim/channel.hh"
 #include "sim/flit.hh"
-#include "sim/ring.hh"
 #include "traffic/measure.hh"
 #include "traffic/pattern.hh"
 
@@ -96,7 +96,7 @@ class Source
      * consumes the shared sample quota in serial node order.  Outside
      * that span the arrival draws run late (catchUp, or on demand once
      * the quota is full), so the source sleeps whenever injection is
-     * impossible -- no credits on any VC -- until a credit matures or
+     * impossible -- no credits on any VC -- until a credit arrives or
      * the warmup boundary arrives.  Idle zero-rate sources sleep until
      * a credit arrives (CycleNever when none is in flight).
      */
@@ -118,18 +118,6 @@ class Source
 
     /** Usable injection credits for VC `vc`. */
     int auditCredits(int vc) const { return credits_[std::size_t(vc)]; }
-    /** Arrived credits for VC `vc` still in the one-cycle credit
-     *  pipeline (not yet usable). */
-    int
-    auditPendingCredits(int vc) const
-    {
-        int n = 0;
-        pendingCredits_.forEach([&](const auto &pc) {
-            if (pc.second == vc)
-                n++;
-        });
-        return n;
-    }
 
   private:
     /** A queued packet awaiting injection. */
@@ -177,9 +165,6 @@ class Source
     std::deque<PendingPacket> queue_;
     std::vector<Stream> streams_;      //!< One per injection VC.
     std::vector<int> credits_;         //!< Per injection VC.
-    /** One-cycle credit pipeline, sized once to the conservation
-     *  bound (numVcs * bufDepth credits) so it never grows. */
-    sim::Ring<std::pair<sim::Cycle, int>> pendingCredits_;
     int rrVc_ = 0;                     //!< Round-robin send pointer.
     int rrAssign_ = 0;                 //!< Round-robin VC assignment.
 

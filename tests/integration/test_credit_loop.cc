@@ -72,20 +72,6 @@ TEST(CreditLoop, DeepBuffersHideCreditLatency)
     EXPECT_NEAR(r1.avgLatency, r4.avgLatency, 0.5);
 }
 
-TEST(CreditLoop, CreditProcessingAblation)
-{
-    // Extra credit-pipeline stages (creditProcCycles) behave like extra
-    // propagation: monotonically lower throughput.
-    auto sat = [](int proc) {
-        auto cfg = specConfig(1, 0);
-        cfg.net.router.creditProcCycles = proc;
-        return api::findSaturation(cfg, 4.0, 0.02);
-    };
-    double s0 = sat(0);
-    double s3 = sat(3);
-    EXPECT_LE(s3, s0 + 0.01);
-}
-
 TEST(CreditLoop, CreditConservation)
 {
     // After draining, every router's credit counters are back at

@@ -89,10 +89,11 @@ TEST_F(DorMeshTest, NoYThenXTurns)
             bool moved_y = false;
             while (cur != dest) {
                 int port = route(cur, dest);
-                if (port == North || port == South)
+                if (port == North || port == South) {
                     moved_y = true;
-                else if (port == East || port == West)
+                } else if (port == East || port == West) {
                     ASSERT_FALSE(moved_y) << "X move after Y move";
+                }
                 cur = mesh.neighbor(cur, port);
             }
         }

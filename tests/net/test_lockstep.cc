@@ -10,7 +10,7 @@
  * (packet id, destination, ejection cycle, latency, in ejection
  * order), identical latency statistics, and identical router counters
  * -- across router models, topologies, patterns and loads.  The
- * credit-pipeline cases also step the skipping network through a
+ * long-credit-path cases also step the skipping network through a
  * partitioned stepper and run it audited.
  */
 
@@ -42,9 +42,10 @@ baseConfig(router::RouterModel model, int vcs, int buf)
 }
 
 /**
- * Step both networks `cycles` cycles, comparing traces as they grow.
- * The skipping network steps through a ParallelStepper of `workers`
- * workers (1 = plain Network::step()).
+ * Step both networks `cycles` cycles, comparing delivery counts every
+ * cycle and the delivered packets at the end.  The skipping network
+ * steps through a ParallelStepper of `workers` workers (1 = plain
+ * Network::step()).
  */
 void
 expectLockstep(const net::NetworkConfig &cfg, sim::Cycle cycles,
@@ -53,10 +54,8 @@ expectLockstep(const net::NetworkConfig &cfg, sim::Cycle cycles,
     net::Network fast(cfg);
     net::Network naive(cfg);
     naive.forceTickAll(true);
-
-    std::vector<traffic::Delivery> ft, nt;
-    fast.recordDeliveries(&ft);
-    naive.recordDeliveries(&nt);
+    fast.recordDeliveries(true);
+    naive.recordDeliveries(true);
 
     {
         par::ParConfig pc;
@@ -66,11 +65,13 @@ expectLockstep(const net::NetworkConfig &cfg, sim::Cycle cycles,
         for (sim::Cycle c = 0; c < cycles; c++) {
             stepper.step();
             naive.step();
-            ASSERT_EQ(ft.size(), nt.size())
+            ASSERT_EQ(fast.deliveredPackets(), naive.deliveredPackets())
                 << "delivery count diverged at cycle " << c;
         }
     }
 
+    const auto ft = fast.takeDeliveries(), nt = naive.takeDeliveries();
+    ASSERT_EQ(ft.size(), nt.size());
     for (std::size_t i = 0; i < ft.size(); i++) {
         EXPECT_EQ(ft[i].packet, nt[i].packet) << "delivery " << i;
         EXPECT_EQ(ft[i].dest, nt[i].dest) << "delivery " << i;
@@ -157,17 +158,14 @@ TEST(LockstepTest, SlowCreditsFig18Shape)
 namespace {
 
 /**
- * Credits that mature for router.credit_proc cycles after a 4-cycle
- * credit path: a credit channel holds more items than a channel
- * ring's first capacity, and the routers' pending-credit rings hold
- * several credits at once.
+ * A credit path of `latency` cycles: a credit channel holds more items
+ * than a channel ring's first capacity.
  */
 net::NetworkConfig
-creditPipelineConfig(int proc)
+creditPipelineConfig(sim::Cycle latency)
 {
     auto cfg = baseConfig(router::RouterModel::SpecVirtualChannel, 2, 4);
-    cfg.creditLatency = 4;
-    cfg.router.creditProcCycles = proc;
+    cfg.creditLatency = latency;
     cfg.setOfferedFraction(0.5);
     return cfg;
 }
@@ -176,35 +174,36 @@ creditPipelineConfig(int proc)
 
 TEST(LockstepTest, CreditPipelineSkippingMatchesTickAll)
 {
-    for (int proc : {1, 3}) {
+    for (sim::Cycle latency : {5, 7}) {
         for (int workers : {1, 4}) {
-            SCOPED_TRACE("router.credit_proc = " + std::to_string(proc) +
+            SCOPED_TRACE("net.credit_latency = " +
+                         std::to_string(latency) +
                          ", par.workers = " + std::to_string(workers));
-            expectLockstep(creditPipelineConfig(proc), 3000, workers);
+            expectLockstep(creditPipelineConfig(latency), 3000, workers);
         }
     }
 }
 
 TEST(LockstepTest, CreditPipelineAuditedRuns)
 {
-    // The auditor counts maturing credits into AUD-CREDIT and checks
-    // the arrival masks under AUD-WAKE every cycle; an audited run
-    // must pass and deliver exactly what an unaudited one does.
-    for (int proc : {1, 3}) {
-        auto cfg = creditPipelineConfig(proc);
+    // The auditor counts credits on the wire into AUD-CREDIT and
+    // checks the arrival masks under AUD-WAKE every cycle; an audited
+    // run must pass and deliver exactly what an unaudited one does.
+    for (sim::Cycle latency : {5, 7}) {
+        auto cfg = creditPipelineConfig(latency);
         cfg.audit = false;
         net::Network plain(cfg);
-        std::vector<traffic::Delivery> pt;
-        plain.recordDeliveries(&pt);
+        plain.recordDeliveries(true);
         plain.run(3000);
+        const auto pt = plain.takeDeliveries();
         ASSERT_GT(pt.size(), 0u);
         cfg.audit = true;
         for (int workers : {1, 4}) {
-            SCOPED_TRACE("router.credit_proc = " + std::to_string(proc) +
+            SCOPED_TRACE("net.credit_latency = " +
+                         std::to_string(latency) +
                          ", par.workers = " + std::to_string(workers));
             net::Network audited(cfg);
-            std::vector<traffic::Delivery> at;
-            audited.recordDeliveries(&at);
+            audited.recordDeliveries(true);
             {
                 par::ParConfig pc;
                 pc.workers = workers;
@@ -214,6 +213,7 @@ TEST(LockstepTest, CreditPipelineAuditedRuns)
             }
             EXPECT_NO_THROW(audited.auditTeardown());
             EXPECT_GT(audited.auditor()->checksRun(), 0u);
+            const auto at = audited.takeDeliveries();
             ASSERT_EQ(at.size(), pt.size());
             for (std::size_t i = 0; i < at.size(); i++) {
                 EXPECT_EQ(at[i].packet, pt[i].packet) << "delivery " << i;
@@ -330,19 +330,17 @@ expectForwardProgressAtSaturation(const std::string &topology,
     cfg.injectionRate = std::min(1.0, cfg.capacity());
 
     net::Network net(cfg);
-    std::vector<traffic::Delivery> trace;
-    net.recordDeliveries(&trace);
 
     constexpr sim::Cycle kSoak = 50000;
     constexpr sim::Cycle kWindow = 10000;
-    std::size_t last = 0;
+    std::uint64_t last = 0;
     for (sim::Cycle w = 0; w < kSoak / kWindow; w++) {
         net.run(kWindow);
-        ASSERT_GT(trace.size(), last)
+        ASSERT_GT(net.deliveredPackets(), last)
             << topology << "+" << routing << ": no packet delivered in "
             << "cycles [" << w * kWindow << ", " << (w + 1) * kWindow
             << ") -- deadlock?";
-        last = trace.size();
+        last = net.deliveredPackets();
     }
 }
 
@@ -409,10 +407,8 @@ TEST(LockstepTest, ForceTickAllCanBeToggledOff)
     net::Network always(cfg);
     net::Network toggled(cfg);
     toggled.forceTickAll(true);
-
-    std::vector<traffic::Delivery> at, tt;
-    always.recordDeliveries(&at);
-    toggled.recordDeliveries(&tt);
+    always.recordDeliveries(true);
+    toggled.recordDeliveries(true);
 
     for (int c = 0; c < 1000; c++) {
         always.step();
@@ -423,6 +419,7 @@ TEST(LockstepTest, ForceTickAllCanBeToggledOff)
         always.step();
         toggled.step();
     }
+    const auto at = always.takeDeliveries(), tt = toggled.takeDeliveries();
     ASSERT_EQ(at.size(), tt.size());
     for (std::size_t i = 0; i < at.size(); i++) {
         EXPECT_EQ(at[i].packet, tt[i].packet);

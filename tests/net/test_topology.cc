@@ -63,8 +63,9 @@ TEST(Topology, NeighborSymmetryAcrossLattices)
         for (sim::NodeId n = 0; n < lat.numRouters(); n++) {
             for (int p = 0; p < 2 * lat.dims(); p++) {
                 auto nb = lat.neighbor(n, p);
-                if (nb != sim::Invalid)
+                if (nb != sim::Invalid) {
                     EXPECT_EQ(lat.neighbor(nb, lat.opposite(p)), n);
+                }
             }
         }
     }

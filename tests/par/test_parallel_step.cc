@@ -53,19 +53,19 @@ expectParallelLockstep(const net::NetworkConfig &cfg, int workers,
     par::ParallelStepper stepper(parallel, pcfg);
     ASSERT_GE(stepper.workers(), 2) << "partition collapsed to serial";
     EXPECT_GT(stepper.crossChannels(), 0u);
-
-    std::vector<traffic::Delivery> st, pt;
-    serial.recordDeliveries(&st);
-    parallel.recordDeliveries(&pt);
+    serial.recordDeliveries(true);
+    parallel.recordDeliveries(true);
 
     for (sim::Cycle c = 0; c < cycles; c++) {
         serial.step();
         stepper.step();
-        ASSERT_EQ(st.size(), pt.size())
+        ASSERT_EQ(serial.deliveredPackets(), parallel.deliveredPackets())
             << "delivery count diverged at cycle " << c;
     }
 
+    const auto st = serial.takeDeliveries(), pt = parallel.takeDeliveries();
     EXPECT_GT(st.size(), 0u) << "test drove no traffic";
+    ASSERT_EQ(st.size(), pt.size());
     for (std::size_t i = 0; i < st.size(); i++) {
         ASSERT_EQ(st[i].packet, pt[i].packet) << "delivery " << i;
         ASSERT_EQ(st[i].dest, pt[i].dest) << "delivery " << i;
@@ -205,38 +205,6 @@ TEST(ParallelStepTest, RunSimulationMatchesAcrossWorkerCounts)
     EXPECT_EQ(serial.cycles, weighted.cycles);
 }
 
-TEST(ParallelStepTest, ReRegisteringTheSameTraceKeepsShards)
-{
-    // recordDeliveries() re-passing the already-bound pointer still
-    // re-points every sink at the shared vector; the stepper must
-    // restore its per-worker shard redirection before the next
-    // parallel sink phase (keyed off the registration generation).
-    auto cfg = baseConfig();
-    cfg.setOfferedFraction(0.3);
-    net::Network serial(cfg);
-    net::Network parallel(cfg);
-    par::ParConfig pcfg;
-    pcfg.workers = 4;
-    par::ParallelStepper stepper(parallel, pcfg);
-
-    std::vector<traffic::Delivery> st, pt;
-    serial.recordDeliveries(&st);
-    parallel.recordDeliveries(&pt);
-    serial.run(1000);
-    stepper.run(1000);
-
-    parallel.recordDeliveries(&pt);     // Same pointer, re-registered.
-    serial.recordDeliveries(&st);
-    serial.run(1500);
-    stepper.run(1500);
-
-    ASSERT_EQ(st.size(), pt.size());
-    for (std::size_t i = 0; i < st.size(); i++) {
-        ASSERT_EQ(st[i].packet, pt[i].packet) << i;
-        ASSERT_EQ(st[i].at, pt[i].at) << i;
-    }
-}
-
 TEST(ParallelStepTest, StepperDetachRestoresSerialStepping)
 {
     // Drive the first half through a stepper, destroy it, finish with
@@ -245,10 +213,8 @@ TEST(ParallelStepTest, StepperDetachRestoresSerialStepping)
     cfg.setOfferedFraction(0.3);
     net::Network serial(cfg);
     net::Network mixed(cfg);
-
-    std::vector<traffic::Delivery> st, mt;
-    serial.recordDeliveries(&st);
-    mixed.recordDeliveries(&mt);
+    serial.recordDeliveries(true);
+    mixed.recordDeliveries(true);
 
     {
         par::ParConfig pcfg;
@@ -259,6 +225,7 @@ TEST(ParallelStepTest, StepperDetachRestoresSerialStepping)
     mixed.run(1500);
     serial.run(3000);
 
+    const auto st = serial.takeDeliveries(), mt = mixed.takeDeliveries();
     ASSERT_EQ(st.size(), mt.size());
     for (std::size_t i = 0; i < st.size(); i++) {
         ASSERT_EQ(st[i].packet, mt[i].packet) << i;
@@ -293,17 +260,14 @@ TEST(ParallelStepDeadlockSoak, KAry3CubeAtMaxInjection)
     par::ParallelStepper stepper(net, pcfg);
     ASSERT_EQ(stepper.workers(), 4);
 
-    std::vector<traffic::Delivery> trace;
-    net.recordDeliveries(&trace);
-
     constexpr sim::Cycle kSoak = 50000;
     constexpr sim::Cycle kWindow = 10000;
-    std::size_t last = 0;
+    std::uint64_t last = 0;
     for (sim::Cycle w = 0; w < kSoak / kWindow; w++) {
         stepper.run(kWindow);
-        ASSERT_GT(trace.size(), last)
+        ASSERT_GT(net.deliveredPackets(), last)
             << "no packet delivered in cycles [" << w * kWindow
             << ", " << (w + 1) * kWindow << ") -- deadlock?";
-        last = trace.size();
+        last = net.deliveredPackets();
     }
 }

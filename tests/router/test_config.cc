@@ -41,13 +41,6 @@ TEST(RouterConfigTest, PipelineDepths)
     EXPECT_EQ(cfg.pipelineDepth(), 1);
 }
 
-TEST(RouterConfigTest, CreditProcDefaultsToZero)
-{
-    // Every model: the turnaround differences come from the pipeline
-    // depth, not from an extra credit pipeline.
-    EXPECT_EQ(RouterConfig{}.creditProcCycles, 0);
-}
-
 TEST(RouterConfigTest, Names)
 {
     EXPECT_STREQ(toString(RouterModel::Wormhole), "WH");
@@ -75,13 +68,6 @@ TEST(RouterConfigValidate, BadBufDepthRejected)
     RouterConfig cfg;
     cfg.bufDepth = 0;
     expectInvalid(cfg, "router.buf_depth");
-}
-
-TEST(RouterConfigValidate, BadCreditProcRejected)
-{
-    RouterConfig cfg;
-    cfg.creditProcCycles = -1;
-    expectInvalid(cfg, "router.credit_proc");
 }
 
 TEST(RouterConfigValidate, ModelFromString)

@@ -8,9 +8,11 @@
  * nonzero number of checks, bit-identical to an unaudited run), a
  * deliberately corrupted wake-table entry trips [AUD-WAKE] on the next
  * step, so does a router arrival bit cleared over a non-empty
- * channel, and a flit dropped from or copied onto a queue trips
- * [AUD-LEAK] at teardown.  The checks run at every worker count: the
- * partitioned stepper runs them on worker 0 with the gang parked.
+ * channel, a credit dropped from or copied onto a credit channel trips
+ * [AUD-CREDIT] on the next step, and a flit dropped from or copied
+ * onto a queue trips [AUD-LEAK] at teardown.  The checks run at every
+ * worker count: the partitioned stepper runs them on worker 0 with
+ * the gang parked.
  */
 
 #include <gtest/gtest.h>
@@ -54,6 +56,43 @@ busyEjectionChannel(net::Network &net)
             return i;
     }
     return net.numFlitChans();
+}
+
+/** Index of a credit channel holding a credit right now, outside
+ *  staged mode, that returns credits to a source (`injection`) or to
+ *  a router; numCreditChans() when there is none. */
+std::size_t
+busyCreditChannel(net::Network &net, bool injection)
+{
+    for (std::size_t i = 0; i < net.numCreditChans(); i++) {
+        const bool to_source = net.creditChanConsumer(i) < net.rtrComp(0);
+        if (to_source == injection && !net.creditChan(i).empty() &&
+            !net.creditChan(i).staged())
+            return i;
+    }
+    return net.numCreditChans();
+}
+
+/** How AUD-CREDIT names credit channel `i`'s upstream credit holder:
+ *  "source N" or "router R port P". */
+std::string
+creditHolderName(const net::Network &net, std::size_t i)
+{
+    const std::size_t up = net.creditChanConsumer(i);
+    if (up < net.rtrComp(0))
+        return "source " + std::to_string(up);
+    const auto r = sim::NodeId(up - net.rtrComp(0));
+    const auto down =
+        sim::NodeId(net.creditChanProducer(i) - net.rtrComp(0));
+    const auto &lat = net.lattice();
+    for (int port = 0; port < lat.numPorts(); port++) {
+        if (lat.neighbor(r, port) == down) {
+            return "router " + std::to_string(r) + " port " +
+                   std::to_string(port);
+        }
+    }
+    ADD_FAILURE() << "no port of router " << r << " leads to " << down;
+    return "";
 }
 
 } // namespace
@@ -109,12 +148,12 @@ TEST(Audit, AuditedRunIsBitIdenticalToUnaudited)
     net::Network plain(cfg);
     ASSERT_FALSE(plain.auditEnabled());
 
-    std::vector<traffic::Delivery> ta, tp;
-    audited.recordDeliveries(&ta);
-    plain.recordDeliveries(&tp);
+    audited.recordDeliveries(true);
+    plain.recordDeliveries(true);
     audited.run(2000);
     plain.run(2000);
 
+    const auto ta = audited.takeDeliveries(), tp = plain.takeDeliveries();
     ASSERT_EQ(ta.size(), tp.size());
     for (std::size_t i = 0; i < ta.size(); i++) {
         EXPECT_EQ(ta[i].packet, tp[i].packet);
@@ -240,6 +279,57 @@ TEST(Audit, CatchesLeakedFlit)
                                               : "1 flit(s) lost"),
                           std::string::npos)
                     << what;
+            }
+        }
+    }
+}
+
+TEST(Audit, CatchesLostCredit)
+{
+    // Take one credit off a busy credit channel between cycles -- once
+    // on an inter-router link, once on an injection link -- and either
+    // drop it or put it back twice.  The next step must fail
+    // [AUD-CREDIT], naming the upstream credit holder and the VC.
+    for (bool injection : {false, true}) {
+        for (bool duplicate : {false, true}) {
+            for (int workers : {1, 2, 4}) {
+                SCOPED_TRACE(std::string(injection ? "injection"
+                                                   : "inter-router") +
+                             (duplicate ? ", duplicated" : ", lost") +
+                             ", par.workers = " + std::to_string(workers));
+                net::Network net(auditedConfig());
+                par::ParConfig pc;
+                pc.workers = workers;
+                par::ParallelStepper stepper(net, pc);
+                ASSERT_EQ(stepper.workers(), workers);
+                stepper.run(100);
+                std::size_t i = busyCreditChannel(net, injection);
+                for (int c = 0; c < 1000 && i == net.numCreditChans();
+                     c++) {
+                    stepper.run(1);
+                    i = busyCreditChannel(net, injection);
+                }
+                ASSERT_LT(i, net.numCreditChans()) << "no credit to take";
+                auto &chan = net.creditChan(i);
+                auto credit = chan.pop(sim::CycleNever);
+                ASSERT_TRUE(credit.has_value());
+                if (duplicate) {
+                    chan.push(*credit, net.now());
+                    chan.push(*credit, net.now());
+                }
+                const std::string where = creditHolderName(net, i) +
+                                          ": VC " +
+                                          std::to_string(credit->vc) + " ";
+                try {
+                    stepper.step();
+                    FAIL() << "credit conservation break not detected";
+                } catch (const sim::AuditError &e) {
+                    const std::string what = e.what();
+                    EXPECT_NE(what.find("AUD-CREDIT"), std::string::npos)
+                        << what;
+                    EXPECT_NE(what.find(where), std::string::npos)
+                        << "expected \"" << where << "\" in " << what;
+                }
             }
         }
     }

@@ -16,7 +16,9 @@ namespace {
 struct SourceJig
 {
     sim::Channel<Flit> flits{1};
-    sim::Channel<sim::Credit> credits{1};
+    // Latency 2, as Network builds it: one cycle of wire and one of
+    // the source's credit stage.
+    sim::Channel<sim::Credit> credits{2};
     MeasureController ctrl;
     UniformPattern pattern{4};
     SourceConfig cfg;

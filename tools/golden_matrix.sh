@@ -17,8 +17,9 @@ set -euo pipefail
 # every other experiment runs with PDR_FAST=1 against <exp>.fast.csv.
 # PDR_THREADS=1 keeps the sweep pool from claiming the cores, so the
 # network workers spin up.  The other paper figures (fig13, fig14,
-# fig15, fig17) and bursty (the only golden with MMPP arrivals) run at
-# the default split.
+# fig15, fig17), bursty (the only golden with MMPP arrivals) and
+# ablation (equal-priority speculation, 1 and 8 VCs, slow credits,
+# the torus) run at the default split.
 CELLS="
 fig18      -  -  -
 fig18      1  1  -
@@ -43,6 +44,7 @@ fig14      -  -  -
 fig15      -  -  -
 fig17      -  -  -
 bursty     -  -  -
+ablation   -  -  -
 "
 
 if [[ $# -gt 1 ]]; then
