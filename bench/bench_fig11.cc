@@ -8,8 +8,10 @@
  * (b) speculative VC routers, Rv allocator.
  *
  * Both the strict EQ-1 fit and the prose-matching relaxed fit (CB mux
- * overlapped for the speculative router) are printed; DESIGN.md section
- * 4 discusses the marginal configurations where they differ.
+ * overlapped for the speculative router) are printed; the file comment
+ * of src/pipeline/designer.hh (and tSpecCombinedOverlap in
+ * src/delay/equations.hh) discusses the marginal configurations where
+ * they differ.
  */
 
 #include <cstdio>

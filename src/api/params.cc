@@ -356,23 +356,6 @@ defs()
          [](SimConfig &c, const std::string &v) {
              c.prof.enable = parseBool("prof.enable", v);
          }},
-        {"prof.top",
-         "hottest routers listed by 'pdr profile' (>= 1)",
-         [](const SimConfig &c) { return std::to_string(c.prof.top); },
-         [](SimConfig &c, const std::string &v) {
-             c.prof.top = int(parseInt("prof.top", v, 1, 1 << 20));
-         }},
-        {"prof.report_workers",
-         "analysis partition size for the profile report's "
-         "tick-weight imbalance verdict (>= 1; decoupled from "
-         "par.workers so the verdict is worker-count-independent)",
-         [](const SimConfig &c) {
-             return std::to_string(c.prof.reportWorkers);
-         },
-         [](SimConfig &c, const std::string &v) {
-             c.prof.reportWorkers =
-                 int(parseInt("prof.report_workers", v, 1, 512));
-         }},
     };
     return table;
 }
@@ -444,7 +427,6 @@ validate(const SimConfig &cfg)
     // drift from what the Network constructor enforces.
     cfg.net.validate();
     cfg.telem.validate();
-    cfg.prof.validate();
     if (cfg.mode != "sample" && cfg.mode != "fixed") {
         throw std::invalid_argument(
             "sim.mode must be 'sample' or 'fixed', got '" + cfg.mode +

@@ -62,7 +62,7 @@ struct SimConfig
     telem::Config telem;
 
     /**
-     * Engine profiling (prof.* keys): per-worker phase wall time and
+     * Engine profiling (prof.enable): per-worker phase wall time and
      * per-router tick weights, exported through the telemetry streams
      * and summarized by `pdr profile`.  Same read-only contract as
      * telem: results are bit-identical on or off, at any worker

@@ -1,6 +1,6 @@
 /**
  * @file
- * Engine-profiler configuration (the `prof.*` parameter group) and
+ * Engine-profiler configuration (the `prof.enable` key) and
  * the capture it leaves behind.
  *
  * `src/prof/` is to the engine (`src/par/` + the stepping loops) what
@@ -29,7 +29,7 @@
 
 namespace pdr::prof {
 
-/** Engine-profiler switches (`prof.*` keys; docs/OBSERVABILITY.md). */
+/** Engine-profiler switch (`prof.enable`; docs/OBSERVABILITY.md). */
 struct Config
 {
     /**
@@ -40,21 +40,6 @@ struct Config
      * off.  Off by default: no marks, no counts, zero tick-path cost.
      */
     bool enable = false;
-
-    /** Hottest routers listed by `pdr profile` (prof.top). */
-    int top = 8;
-
-    /**
-     * Analysis partition size for the report's tick-weight imbalance
-     * verdict (prof.report_workers).  Deliberately decoupled from
-     * par.workers: the verdict is computed from the deterministic
-     * weight signal over a fixed partition, so it is identical no
-     * matter how many workers actually executed the run.
-     */
-    int reportWorkers = 4;
-
-    /** Throws std::invalid_argument on a bad combination. */
-    void validate() const;
 };
 
 bool operator==(const Config &a, const Config &b);

@@ -2,27 +2,15 @@
 
 #include <cassert>
 #include <chrono>
-#include <stdexcept>
 
 #include "net/network.hh"
 
 namespace pdr::prof {
 
-void
-Config::validate() const
-{
-    if (top < 1)
-        throw std::invalid_argument("prof.top must be >= 1");
-    if (reportWorkers < 1)
-        throw std::invalid_argument(
-            "prof.report_workers must be >= 1");
-}
-
 bool
 operator==(const Config &a, const Config &b)
 {
-    return a.enable == b.enable && a.top == b.top &&
-           a.reportWorkers == b.reportWorkers;
+    return a.enable == b.enable;
 }
 
 namespace {

@@ -12,6 +12,17 @@ namespace pdr::prof {
 
 namespace {
 
+/** Hottest routers the report lists. */
+constexpr std::size_t kTopRouters = 8;
+
+/**
+ * Analysis partition size for the tick-weight imbalance verdict.
+ * Deliberately decoupled from par.workers: the verdict is computed
+ * from the deterministic weight signal over a fixed partition, so it
+ * is identical no matter how many workers actually executed the run.
+ */
+constexpr int kReportWorkers = 4;
+
 /**
  * Per-block weight shares of a plane-aligned split.  Throws
  * std::invalid_argument unless there is one weight per router of
@@ -160,14 +171,13 @@ weightImbalance(const std::vector<std::uint64_t> &weights,
 }
 
 std::string
-buildReport(const Capture &cap, const topo::Lattice &lat,
-            const Config &cfg)
+buildReport(const Capture &cap, const topo::Lattice &lat)
 {
     // First, so a capture that does not fit `lat` fails before any
     // router index is used.
     std::vector<par::Block> blocks;
     const auto blockW = planeBlockWeights(cap.weights, lat,
-                                          cfg.reportWorkers, &blocks);
+                                          kReportWorkers, &blocks);
 
     std::string out;
     out += csprintf(
@@ -237,8 +247,7 @@ buildReport(const Capture &cap, const topo::Lattice &lat,
                          return cap.weights[std::size_t(a)] >
                                 cap.weights[std::size_t(b)];
                      });
-    const auto top =
-        std::min(order.size(), std::size_t(std::max(cfg.top, 1)));
+    const auto top = std::min(order.size(), kTopRouters);
     out += csprintf(
         "\nhottest routers by cycles ticked (top %zu of %zu):\n", top,
         order.size());
@@ -267,8 +276,7 @@ buildReport(const Capture &cap, const topo::Lattice &lat,
             heaviest = b;
     }
     out += csprintf("weight_imbalance %.4f\n",
-                    weightImbalance(cap.weights, lat,
-                                    cfg.reportWorkers));
+                    weightImbalance(cap.weights, lat, kReportWorkers));
 
     double maxShare = 0.0;
     const auto cuts = weightedCuts(cap.weights,

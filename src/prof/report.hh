@@ -10,8 +10,8 @@
  * routers, partition shares, the imbalance ratio and the weighted-cut
  * verdict) is deterministic -- identical across runs and execution
  * worker counts, because the tick schedule is a pure function of the
- * wake table and the verdict partition size is prof.report_workers,
- * not par.workers.
+ * wake table and the verdict is computed over four fixed analysis
+ * blocks, not par.workers.
  */
 
 #ifndef PDR_PROF_REPORT_HH
@@ -37,8 +37,7 @@ double weightImbalance(const std::vector<std::uint64_t> &weights,
 
 /** Render the full `pdr profile` report (see file comment); throws
  *  std::invalid_argument when the capture does not fit `lat`. */
-std::string buildReport(const Capture &cap, const topo::Lattice &lat,
-                        const Config &cfg);
+std::string buildReport(const Capture &cap, const topo::Lattice &lat);
 
 /**
  * Rebuild a Capture from an NDJSON stream containing worker_window /

@@ -135,8 +135,9 @@ Router::auditBidState() const
     const int p = cfg_.numPorts;
     const int v = cfg_.numVcs;
     // Expected output-VC busy words, rebuilt from the Active holders
-    // (an input VC holds (route, outVc) from VA grant to tail
-    // departure).  p <= 64 is enforced by RouterConfig::validate.
+    // (an input VC holds (route, outVc) from VA grant -- a wormhole
+    // head's switch grant, with outVc 0 -- to tail departure).
+    // p <= 64 is enforced by RouterConfig::validate.
     std::uint64_t busy[64] = {};
     for (int port = 0; port < p; port++) {
         for (int vc = 0; vc < v; vc++) {
@@ -156,22 +157,32 @@ Router::auditBidState() const
                     "fifo %d", port, vc, int(!act), int(ivc.state),
                     int(ivc.fifo.size()));
             }
-            if (cfg_.model != RouterModel::Wormhole &&
-                ivc.state == VcState::Active) {
-                busy[ivc.route] |= std::uint64_t(1) << ivc.outVc;
+            if (ivc.state != VcState::Active)
+                continue;
+            if (ivc.route < 0 || ivc.route >= p || ivc.outVc < 0 ||
+                ivc.outVc >= v) {
+                return csprintf(
+                    "Active (port %d, vc %d) holds no output VC: "
+                    "route %d, outVc %d", port, vc, ivc.route,
+                    ivc.outVc);
             }
+            const std::uint64_t bit = std::uint64_t(1) << ivc.outVc;
+            if (busy[ivc.route] & bit) {
+                return csprintf(
+                    "output (port %d, vc %d) has a second Active "
+                    "holder, (port %d, vc %d)", ivc.route, ivc.outVc,
+                    port, vc);
+            }
+            busy[ivc.route] |= bit;
         }
     }
-    if (cfg_.model != RouterModel::Wormhole) {
-        for (int port = 0; port < p; port++) {
-            const std::uint64_t expect = arb::lowMask(v) & ~busy[port];
-            if (outFree_[port] != expect) {
-                return csprintf(
-                    "outFree_[%d] = %#llx, expected %#llx from Active "
-                    "holders", port,
-                    (unsigned long long)outFree_[port],
-                    (unsigned long long)expect);
-            }
+    for (int port = 0; port < p; port++) {
+        const std::uint64_t expect = arb::lowMask(v) & ~busy[port];
+        if (outFree_[port] != expect) {
+            return csprintf(
+                "outFree_[%d] = %#llx, expected %#llx from Active "
+                "holders", port, (unsigned long long)outFree_[port],
+                (unsigned long long)expect);
         }
     }
     return std::string();
@@ -182,9 +193,6 @@ Router::quiescent() const
 {
     for (const auto &ivc : invcs_)
         if (!ivc.fifo.empty() || ivc.state != VcState::Idle)
-            return false;
-    for (const auto &op : outputs_)
-        if (op.heldBy != sim::Invalid)
             return false;
     for (std::uint64_t free : outFree_)
         if (free != arb::lowMask(cfg_.numVcs))
@@ -205,11 +213,6 @@ Router::portScore(int out_port) const
     const auto &op = outputs_[out_port];
     if (op.isSink)
         return cfg_.numVcs * cfg_.bufDepth + 1;
-    if (cfg_.model == RouterModel::Wormhole) {
-        if (op.heldBy != sim::Invalid)
-            return 0;
-        return outCredits_[vidx(out_port, 0)];
-    }
     int score = 0;
     std::uint64_t free = outFree_[out_port];
     while (free) {
@@ -305,7 +308,6 @@ Router::receiveFlits(sim::Cycle now)
                 pdr_assert(ivc.fifo.empty());
                 ivc.state = VcState::RouteWait;
                 ivc.route = selectRoute(f);
-                ivc.actReady = f.eligible;
             }
             ivc.fifo.push(f);
             bufferedNow_++;
@@ -327,12 +329,12 @@ Router::vaPhase(sim::Cycle now)
     auto consider = [&](int vi) {
         auto &ivc = invcs_[vi];
         pdr_assert(ivc.state == VcState::RouteWait);
-        if (now < ivc.actReady)
-            return;
         pdr_assert(!ivc.fifo.empty());
-        const int port = vi / v, vc = vi % v;
         const auto &head = ivc.fifo.front();
+        if (now < head.eligible)
+            return;
         pdr_assert(sim::isHead(head.type));
+        const int port = vi / v, vc = vi % v;
         if (routing_.isAdaptive()) {
             // Footnote 5: re-iterate through the routing function
             // on every attempt, picking one output port.
@@ -361,9 +363,6 @@ Router::vaPhase(sim::Cycle now)
         ivc.state = VcState::Active;
         ivc.vaGrantTick = now;
         syncBid(vi);
-        // Non-speculative switch requests start next cycle (same cycle
-        // for the unit-latency model).
-        ivc.saReady = now + (cfg_.singleCycle ? 0 : 1);
         stats_.vaGrants++;
     }
 }
@@ -384,28 +383,28 @@ Router::saPhaseWormhole(sim::Cycle now)
         const auto &f = ivc.fifo.front();
         if (now < f.eligible)
             return;
-        if (ivc.state == VcState::RouteWait && now >= ivc.actReady) {
+        if (ivc.state == VcState::RouteWait) {
             // Head arbitrates for a free output port; it also needs a
             // downstream buffer to move into.
             pdr_assert(sim::isHead(f.type));
             if (routing_.isAdaptive())
                 ivc.route = selectRoute(f);
-            if (outputs_[ivc.route].heldBy != sim::Invalid) {
+            if (!(outFree_[ivc.route] & 1u)) {
                 closeStall(ivc, now);   // Held port, not a credit stall.
             } else if (hasCredit(ivc.route, 0)) {
                 closeStall(ivc, now);
                 saReqs_.push_back({port, 0, ivc.route, false});
             } else {
-                extendStall(ivc, now);
+                openStall(ivc, now);
             }
         } else if (ivc.state == VcState::Active) {
             // Port is held: body/tail flits flow without arbitration.
-            pdr_assert(outputs_[ivc.route].heldBy == port);
+            pdr_assert(!(outFree_[ivc.route] & 1u));
             if (hasCredit(ivc.route, 0)) {
                 closeStall(ivc, now);
                 departFlit(port, 0, ivc.route, 0, now);
             } else {
-                extendStall(ivc, now);
+                openStall(ivc, now);
             }
         }
     };
@@ -421,7 +420,8 @@ Router::saPhaseWormhole(sim::Cycle now)
 
     for (const auto &g : whArb_->allocate(saReqs_)) {
         auto &ivc = invc(g.inPort, 0);
-        outputs_[g.outPort].heldBy = g.inPort;
+        outFree_[g.outPort] &= ~std::uint64_t(1);  // Hold the port.
+        ivc.outVc = 0;
         ivc.state = VcState::Active;
         stats_.headGrants++;
         departFlit(g.inPort, 0, g.outPort, 0, now);
@@ -439,13 +439,15 @@ Router::saPhaseVc(sim::Cycle now)
     auto consider = [&](int vi) {
         auto &ivc = invcs_[vi];
         pdr_assert(ivc.state == VcState::Active && !ivc.fifo.empty());
-        if (ivc.vaGrantTick == now && !cfg_.singleCycle)
-            return;     // Covered by its speculative bid (specVC).
-        const auto &f = ivc.fifo.front();
-        if (now < f.eligible || now < ivc.saReady)
+        // First switch request: vaToSaDelay() after the VA grant (a
+        // specVC VC granted this tick is covered by its speculative
+        // bid).
+        if (now < ivc.vaGrantTick + vaToSaDelay())
+            return;
+        if (now < ivc.fifo.front().eligible)
             return;
         if (!hasCredit(ivc.route, ivc.outVc)) {
-            extendStall(ivc, now);
+            openStall(ivc, now);
             return;
         }
         closeStall(ivc, now);
@@ -494,8 +496,7 @@ Router::departFlit(int in_port, int in_vc, int out_port, int out_vc,
     ivc.fifo.pop();
     bufferedNow_--;
 
-    // Freed buffer slot: return a credit upstream (none for injection
-    // ports fed by a source? sources also track credits, so send).
+    // Freed buffer slot: return a credit upstream.
     if (inputs_[in_port].creditOut)
         inputs_[in_port].creditOut->push(sim::Credit{in_vc}, now);
 
@@ -526,16 +527,8 @@ Router::releaseAndTakeOver(int in_port, int in_vc, int out_port,
                            int out_vc, sim::Cycle now)
 {
     auto &ivc = invc(in_port, in_vc);
-    auto &op = outputs_[out_port];
-
-    if (cfg_.model == RouterModel::Wormhole) {
-        pdr_assert(op.heldBy == in_port);
-        op.heldBy = sim::Invalid;
-    } else {
-        pdr_assert(op.isSink ||
-                   !((outFree_[out_port] >> out_vc) & 1u));
-        outFree_[out_port] |= std::uint64_t(1) << out_vc;
-    }
+    pdr_assert(!((outFree_[out_port] >> out_vc) & 1u));
+    outFree_[out_port] |= std::uint64_t(1) << out_vc;
     ivc.outVc = sim::Invalid;
 
     if (ivc.fifo.empty()) {
@@ -545,13 +538,13 @@ Router::releaseAndTakeOver(int in_port, int in_vc, int out_port,
     }
 
     // The next packet's head takes over the VC and is routed now (its
-    // RC stage runs in the next cycle).
-    const auto &head = ivc.fifo.front();
+    // RC stage runs in the next cycle, so it acts no earlier than a
+    // head arriving now would).
+    auto &head = ivc.fifo.front();
     pdr_assert(sim::isHead(head.type));
     ivc.state = VcState::RouteWait;
     ivc.route = selectRoute(head);
-    ivc.actReady =
-        std::max(head.eligible, now + firstActionDelay());
+    head.eligible = std::max(head.eligible, now + firstActionDelay());
 }
 
 sim::Cycle
@@ -578,13 +571,11 @@ Router::nextWake(sim::Cycle now)
         InputVc &ivc = invcs_[vi];
         pdr_assert(!ivc.fifo.empty());
         const sim::Flit &f = ivc.fifo.front();
-        if (wh) {
-            if (ivc.state == VcState::RouteWait) {
-                sim::Cycle r = std::max(f.eligible, ivc.actReady);
-                if (r > now) {
-                    t = std::min(t, r);
-                } else if (outputs_[ivc.route].heldBy !=
-                           sim::Invalid) {
+        if (ivc.state == VcState::RouteWait) {
+            if (f.eligible > now) {
+                t = std::min(t, f.eligible);
+            } else if (wh) {
+                if (!(outFree_[ivc.route] & 1u)) {
                     // Held port: only our own ticks release it.
                 } else if (hasCredit(ivc.route, 0)) {
                     return true;        // Can bid for the port.
@@ -593,22 +584,9 @@ Router::nextWake(sim::Cycle now)
                     // channel ends it.
                     openStall(ivc, now + 1);
                 }
-            } else if (ivc.state == VcState::Active) {
-                if (f.eligible > now)
-                    t = std::min(t, f.eligible);
-                else if (hasCredit(ivc.route, 0))
-                    return true;        // Flit can depart.
-                else
-                    openStall(ivc, now + 1);
-            }
-        } else {
-            if (ivc.state == VcState::RouteWait) {
-                if (ivc.actReady > now) {
-                    t = std::min(t, ivc.actReady);
-                    return false;
-                }
-                if (specBids_)
-                    return true;        // Bids the switch per cycle.
+            } else if (specBids_) {
+                return true;            // Bids the switch per cycle.
+            } else {
                 // Pure VA pipeline: the allocator's persistent
                 // state only changes on grants, and a grant needs
                 // a free candidate output VC.  All-busy candidates
@@ -618,17 +596,22 @@ Router::nextWake(sim::Cycle now)
                     routing_.vcMask(f, id_, ivc.route, v);
                 if (std::uint64_t(mask) & outFree_[ivc.route])
                     return true;        // VA can grant someone.
-            } else if (ivc.state == VcState::Active) {
-                sim::Cycle r = std::max(f.eligible, ivc.saReady);
-                if (r > now)
-                    t = std::min(t, r);
-                else if (hasCredit(ivc.route, ivc.outVc))
-                    return true;        // Switch request next cycle.
-                else
-                    // Interval-accounted credit stall; the watched
-                    // credit channel ends the sleep.
-                    openStall(ivc, now + 1);
             }
+        } else if (ivc.state == VcState::Active) {
+            // A wormhole hold has no VA stage: its flits go as soon as
+            // they are eligible.
+            const sim::Cycle r =
+                wh ? f.eligible
+                   : std::max(f.eligible,
+                              ivc.vaGrantTick + vaToSaDelay());
+            if (r > now)
+                t = std::min(t, r);
+            else if (hasCredit(ivc.route, ivc.outVc))
+                return true;            // Switch request or departure.
+            else
+                // Interval-accounted credit stall; the watched
+                // credit channel ends the sleep.
+                openStall(ivc, now + 1);
         }
         return false;
     };
@@ -672,9 +655,9 @@ Router::traceOpenStalls(sim::Cycle now)
     if (!stallTrace_)
         return;
     for (const auto &ivc : invcs_) {
-        if (ivc.stallSince != sim::CycleNever && now > ivc.stallOpen) {
+        if (ivc.stallSince != sim::CycleNever && now > ivc.stallSince) {
             stallTrace_->push_back(
-                {std::uint32_t(&ivc - invcs_.data()), ivc.stallOpen,
+                {std::uint32_t(&ivc - invcs_.data()), ivc.stallSince,
                  now});
         }
     }

@@ -8,7 +8,9 @@
  *
  *   Wormhole:  head flits arbitrate for the whole output port, which is
  *              then held until the tail departs; body flits flow without
- *              arbitration (Figure 2's canonical architecture).
+ *              arbitration (Figure 2's canonical architecture).  The
+ *              hold is the v = 1 case of a VC router's output-VC
+ *              status: bit 0 of the port's outFree_ word.
  *   VC:        heads allocate an output VC (VA) and then compete, flit by
  *              flit, in a separable switch allocator (Figure 3).
  *   SpecVC:    heads bid for the switch *speculatively* in the same cycle
@@ -67,12 +69,10 @@ struct RouterStats
     std::uint64_t specSaUseful = 0;     //!< Spec grants actually used.
     /**
      * Cycles a VC spent ready-but-creditless, accounted as intervals:
-     * each tick that observes a stalled VC accumulates the span since
-     * the previous observation, so a blocked router can sleep through
-     * a stall and still report exactly what per-cycle counting would.
-     * stats() reflects cycles up to the last tick; statsAt(now) also
-     * flushes the still-open intervals (use it for cross-schedule
-     * comparisons at a common read cycle).
+     * a stall is opened once and added here once, when a tick sees it
+     * end, so a blocked router can sleep through a stall and still
+     * report exactly what per-cycle counting would.  statsAt(now)
+     * adds the still-open intervals.
      */
     std::uint64_t creditStallCycles = 0;
     /**
@@ -145,7 +145,6 @@ class Router
 
     sim::NodeId id() const { return id_; }
     const RouterConfig &config() const { return cfg_; }
-    const RouterStats &stats() const { return stats_; }
 
     /**
      * One closed credit-stall interval on input VC `vidx` (flat
@@ -177,8 +176,9 @@ class Router
 
     /**
      * Statistics as they would read at cycle `now` under a
-     * tick-every-cycle schedule: stats() plus the still-open
-     * credit-stall intervals flushed through `now` (exclusive).
+     * tick-every-cycle schedule: the counters plus the still-open
+     * credit-stall intervals and the occupancy integral flushed
+     * through `now` (exclusive).  The only read of the counters;
      * `now` must be >= every tick this router has seen.
      */
     RouterStats statsAt(sim::Cycle now) const;
@@ -216,9 +216,10 @@ class Router
 
     /**
      * AUD-BID: recompute the incremental allocation bitsets (RouteWait
-     * bids, Active bids, free output-VC words) densely from the per-VC
-     * state and compare.  Returns an empty string when consistent,
-     * otherwise a diagnostic naming the first mismatching entry.
+     * bids, Active bids, free output-VC words with the wormhole port
+     * holds) densely from the per-VC state and compare.  Returns an
+     * empty string when consistent, otherwise a diagnostic naming the
+     * first mismatching entry.
      */
     std::string auditBidState() const;
 
@@ -227,7 +228,9 @@ class Router
     enum class VcState : std::uint8_t
     {
         Idle,       //!< No packet.
-        RouteWait,  //!< Head buffered; routed; awaiting VA (VC) / SA (WH).
+        /** Head buffered; routed; awaiting VA (VC) / SA (WH).  It
+         *  acts from its own Flit::eligible. */
+        RouteWait,
         Active,     //!< Resources held; flits flow through SA/ST.
     };
 
@@ -236,21 +239,16 @@ class Router
     {
         sim::Ring<sim::Flit> fifo;  //!< Input buffer, sized to bufDepth.
         VcState state = VcState::Idle;
-        sim::Cycle actReady = 0;    //!< Earliest first allocation action.
-        sim::Cycle saReady = 0;     //!< Earliest switch request (VC).
         /** Cycle of the last VA grant; `vaGrantTick == now` is "VA
-         *  granted this tick" (the speculation check). */
+         *  granted this tick" (the speculation check), and an Active
+         *  VC requests the switch from vaGrantTick + vaToSaDelay(). */
         sim::Cycle vaGrantTick = sim::CycleNever;
         int route = sim::Invalid;   //!< Routed output port.
-        int outVc = sim::Invalid;   //!< Allocated output VC.
-        /** Start of the open credit-stall interval (CycleNever when
-         *  not stalled); cycles up to the last observation are already
-         *  folded into stats_.creditStallCycles. */
+        /** Allocated output VC (0 for a wormhole port hold). */
+        int outVc = sim::Invalid;
+        /** First cycle of the open credit-stall interval (CycleNever
+         *  when not stalled). */
         sim::Cycle stallSince = sim::CycleNever;
-        /** First cycle of the whole open stall (stallSince tracks only
-         *  the not-yet-folded suffix); maintained only while a
-         *  stall-span trace is attached. */
-        sim::Cycle stallOpen = sim::CycleNever;
     };
 
     // Hot per-VC state lives in flat structure-of-arrays slabs indexed
@@ -270,7 +268,6 @@ class Router
         FlitChannel *out = nullptr;
         CreditChannel *creditIn = nullptr;
         bool isSink = false;
-        int heldBy = sim::Invalid;  //!< Wormhole per-packet port hold.
     };
 
     // Tick phases, in order.
@@ -290,6 +287,9 @@ class Router
     bool hasCredit(int out_port, int out_vc) const;
     /** Earliest allocation action for a flit arriving now. */
     sim::Cycle firstActionDelay() const { return cfg_.singleCycle ? 1 : 2; }
+    /** Cycles from a VA grant to the VC's first switch request (the
+     *  unit-latency model requests in the grant cycle). */
+    sim::Cycle vaToSaDelay() const { return cfg_.singleCycle ? 0 : 1; }
 
     /** Flat [port * numVcs + vc] index into the per-VC slabs. */
     std::size_t
@@ -306,52 +306,33 @@ class Router
     }
 
     /**
-     * Observed (port, vc) ready but creditless at `now`: fold the
-     * cycles since the previous observation into the counter and leave
-     * the interval open at `now`.  Exactly reproduces per-cycle
-     * counting because the stall condition cannot change between the
-     * router's ticks.
-     */
-    void
-    extendStall(InputVc &ivc, sim::Cycle now)
-    {
-        if (ivc.stallSince != sim::CycleNever)
-            stats_.creditStallCycles += now - ivc.stallSince;
-        else if (stallTrace_)
-            ivc.stallOpen = now;    // A new stall begins here.
-        ivc.stallSince = now;
-    }
-    /** Observed (port, vc) not stalled at `now`: close the interval
-     *  (cycles [stallSince, now) were stalled, `now` is not). */
-    void
-    closeStall(InputVc &ivc, sim::Cycle now)
-    {
-        if (ivc.stallSince != sim::CycleNever) {
-            stats_.creditStallCycles += now - ivc.stallSince;
-            ivc.stallSince = sim::CycleNever;
-            if (stallTrace_ && now > ivc.stallOpen) {
-                stallTrace_->push_back(
-                    {std::uint32_t(&ivc - invcs_.data()),
-                     ivc.stallOpen, now});
-            }
-        }
-    }
-    /**
-     * (port, vc) will be stalled from cycle `at` on (nextWake decided
-     * to sleep on a ready-but-creditless VC): open the interval unless
-     * one is already open.  The condition cannot silently end -- the
-     * credit that would end it arrives on a watched channel during a
-     * tick, which closes the interval at that tick with the cycles
-     * [at, tick) folded in.
+     * (port, vc) is ready but creditless from cycle `at` on (a tick
+     * observed it so at `at`, or nextWake decided to sleep on it from
+     * `at`): open the interval unless one is already open.  The
+     * condition cannot change between the router's ticks -- the
+     * credit that ends it arrives on a watched channel during a tick,
+     * which closes the interval there.
      */
     void
     openStall(InputVc &ivc, sim::Cycle at)
     {
-        if (ivc.stallSince == sim::CycleNever) {
+        if (ivc.stallSince == sim::CycleNever)
             ivc.stallSince = at;
-            if (stallTrace_)
-                ivc.stallOpen = at;
+    }
+    /** Observed (port, vc) not stalled at `now`: close the interval
+     *  and add its cycles [stallSince, now) to the counter, once. */
+    void
+    closeStall(InputVc &ivc, sim::Cycle now)
+    {
+        if (ivc.stallSince == sim::CycleNever)
+            return;
+        stats_.creditStallCycles += now - ivc.stallSince;
+        if (stallTrace_ && now > ivc.stallSince) {
+            stallTrace_->push_back(
+                {std::uint32_t(&ivc - invcs_.data()), ivc.stallSince,
+                 now});
         }
+        ivc.stallSince = sim::CycleNever;
     }
 
     /**
@@ -378,9 +359,10 @@ class Router
 
     /**
      * Free output VCs as one packed word per output port (bit vc set =
-     * unallocated; bits >= numVcs always clear).  Replaces the dense
-     * per-VC busy byte array: VA hands the words straight to the
-     * allocator, and nextWake's VA-candidate test is one AND.
+     * unallocated; bits >= numVcs always clear).  VA hands the words
+     * straight to the allocator, and nextWake's VA-candidate test is
+     * one AND.  A wormhole port hold is bit 0 (v = 1): cleared at the
+     * head's switch grant, set again when the tail departs.
      */
     std::vector<std::uint64_t> outFree_;
 

@@ -24,8 +24,9 @@
  *   - allocation-bitset consistency [AUD-BID]: every router's
  *     incremental RouteWait/Active bid bitsets and free output-VC
  *     words (the sparse sets the allocation phases and nextWake
- *     iterate) must equal a dense recompute from the per-VC pipeline
- *     state, every cycle.  A stale bit is the allocation-side dual of
+ *     iterate; a wormhole port hold is bit 0) must equal a dense
+ *     recompute from the per-VC pipeline state, with one Active
+ *     holder per held output VC, every cycle.  A stale bit is the allocation-side dual of
  *     an AUD-WAKE violation: a VC that would bid under a dense scan
  *     but is skipped by the sparse one.
  *   - flit conservation [AUD-LEAK]: the flits the sources sent minus

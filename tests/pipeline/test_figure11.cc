@@ -8,8 +8,9 @@
  *  (b) speculative VC routers (Rv): 3 stages up to 16 VCs per physical
  *      channel (for 5 and 7 physical channels), 4 at 32.
  *
- * Known paper-internal tension (see DESIGN.md section 4): under the
- * strict EQ-1 fit a few marginal configurations (Rpv VA at >= 8 VCs;
+ * Known paper-internal tension (see the file comment of
+ * src/pipeline/designer.hh and tSpecCombinedOverlap in
+ * src/delay/equations.hh): under the strict EQ-1 fit a few marginal configurations (Rpv VA at >= 8 VCs;
  * spec combined stage at 16 VCs with the CB mux charged) exceed 20 tau4
  * even though the prose rounds them into one cycle.  The tests assert
  * the model's exact behaviour and the prose-matching Relaxed + CB

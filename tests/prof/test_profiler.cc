@@ -205,8 +205,8 @@ TEST(Prof, ReportNamesTheVerdict)
     cfg.prof.enable = true;
     auto res = api::runSimulation(cfg);
     ASSERT_NE(res.prof, nullptr);
-    const std::string report = prof::buildReport(
-        *res.prof, cfg.net.makeLattice(), cfg.prof);
+    const std::string report =
+        prof::buildReport(*res.prof, cfg.net.makeLattice());
     EXPECT_NE(report.find("per-worker phase wall time"),
               std::string::npos);
     EXPECT_NE(report.find("hottest routers"), std::string::npos);
@@ -275,8 +275,7 @@ TEST(Prof, MalformedStreamsAreNamedErrors)
     };
     auto report = [&](const std::string &text, int k) {
         std::istringstream in(text);
-        return prof::buildReport(prof::parseStream(in), lattice(k),
-                                 cfg.prof);
+        return prof::buildReport(prof::parseStream(in), lattice(k));
     };
     ASSERT_NO_THROW(report(stream, 4));
 
@@ -383,21 +382,4 @@ TEST(Prof, StreamByteIdenticalHeatmapAcrossWorkers)
     }
     EXPECT_FALSE(heatmaps[0].empty());
     EXPECT_EQ(heatmaps[0], heatmaps[1]);
-}
-
-TEST(Prof, ConfigValidates)
-{
-    prof::Config c;
-    EXPECT_NO_THROW(c.validate());
-    c.top = 0;
-    EXPECT_THROW(c.validate(), std::exception);
-    c.top = 8;
-    c.reportWorkers = 0;
-    EXPECT_THROW(c.validate(), std::exception);
-    c.reportWorkers = 4;
-    EXPECT_NO_THROW(c.validate());
-    prof::Config d;
-    EXPECT_TRUE(c == d);
-    d.top = 9;
-    EXPECT_TRUE(c != d);
 }

@@ -118,7 +118,7 @@ TEST_P(AnyRouterTest, IdleRouterStaysQuiescent)
     for (int cycle = 0; cycle < 20; cycle++)
         EXPECT_TRUE(h.step().empty());
     EXPECT_TRUE(h.router().quiescent());
-    EXPECT_EQ(h.router().stats().flitsIn, 0u);
+    EXPECT_EQ(h.router().statsAt(h.now()).flitsIn, 0u);
 }
 
 TEST_P(AnyRouterTest, AllOutputsReachable)

@@ -64,7 +64,7 @@ TEST(SpecRouter, SuccessfulSpeculationCounted)
     injectPacket(h, 0, 0, 1, 1, 2);
     for (int cycle = 0; cycle < 10; cycle++)
         h.step();
-    const auto &s = h.router().stats();
+    const auto s = h.router().statsAt(h.now());
     EXPECT_GE(s.specSaAttempts, 1u);
     EXPECT_GE(s.specSaUseful, 1u);
     EXPECT_EQ(s.flitsOut, 2u);
@@ -92,7 +92,7 @@ TEST(SpecRouter, NonSpecHasPriorityOverSpeculative)
         EXPECT_EQ(order[std::size_t(i)], 1u) << "position " << i;
     EXPECT_EQ(order[5], 2u);
     // And the failed speculative bids were recorded as non-useful.
-    const auto &s = h.router().stats();
+    const auto s = h.router().statsAt(h.now());
     EXPECT_GT(s.specSaAttempts, s.specSaUseful);
 }
 
@@ -123,7 +123,7 @@ TEST(SpecRouter, BodyFlitsAreNonSpeculative)
     injectPacket(h, 0, 0, 1, 1, 5);
     for (int cycle = 0; cycle < 15; cycle++)
         h.step();
-    const auto &s = h.router().stats();
+    const auto s = h.router().statsAt(h.now());
     // Only the head speculates: one attempt for a 5-flit packet.
     EXPECT_EQ(s.specSaAttempts, 1u);
     EXPECT_EQ(s.flitsOut, 5u);
@@ -140,7 +140,7 @@ TEST(SpecRouter, RetriesSpeculationAfterVaFailure)
     for (int cycle = 0; cycle < 30; cycle++)
         delivered += int(h.step().size());
     EXPECT_EQ(delivered, 6);
-    EXPECT_GE(h.router().stats().specSaAttempts, 2u);
+    EXPECT_GE(h.router().statsAt(h.now()).specSaAttempts, 2u);
 }
 
 TEST(SpecRouter, StreamsAtFullRate)

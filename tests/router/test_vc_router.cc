@@ -174,7 +174,7 @@ TEST(VcRouter, CreditStallCounted)
     h.inject(0, SingleRouter::makeFlit(1, FlitType::Tail, 0, 1, 1));
     for (int cycle = 0; cycle < 6; cycle++)
         h.step();
-    EXPECT_GT(h.router().stats().creditStallCycles, 0u);
+    EXPECT_GT(h.router().statsAt(h.now()).creditStallCycles, 0u);
     // Returning the credit lets the tail go.
     h.credit(1, 0);
     int departed = 0;
@@ -190,8 +190,8 @@ TEST(VcRouter, QuiescentAfterDrain)
     for (int cycle = 0; cycle < 20; cycle++)
         h.step();
     EXPECT_TRUE(h.router().quiescent());
-    EXPECT_EQ(h.router().stats().flitsIn, 5u);
-    EXPECT_EQ(h.router().stats().flitsOut, 5u);
+    EXPECT_EQ(h.router().statsAt(h.now()).flitsIn, 5u);
+    EXPECT_EQ(h.router().statsAt(h.now()).flitsOut, 5u);
 }
 
 TEST(VcRouter, SingleCycleVaSaSameCycle)

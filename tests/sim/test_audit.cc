@@ -115,26 +115,44 @@ TEST(Audit, EnvEnabledParsesTruthyValues)
 
 TEST(Audit, CleanRunPassesAndCountsChecks)
 {
-    std::uint64_t serialChecks = 0;
-    for (int workers : {1, 2, 4}) {
-        SCOPED_TRACE("par.workers = " + std::to_string(workers));
-        net::Network net(auditedConfig());
-        ASSERT_TRUE(net.auditEnabled());
-        {
-            par::ParConfig pc;
-            pc.workers = workers;
-            par::ParallelStepper stepper(net, pc);
-            ASSERT_EQ(stepper.workers(), workers);
-            stepper.run(500);
+    // Every flow-control model: AUD-BID checks wormhole port holds
+    // (bit 0 of the free output-VC word) as well as VC allocations.
+    const struct
+    {
+        router::RouterModel model;
+        int numVcs, bufDepth;
+    } models[] = {
+        {router::RouterModel::Wormhole, 1, 8},
+        {router::RouterModel::VirtualChannel, 2, 4},
+        {router::RouterModel::SpecVirtualChannel, 2, 4},
+    };
+    for (const auto &m : models) {
+        net::NetworkConfig cfg = auditedConfig();
+        cfg.router.model = m.model;
+        cfg.router.numVcs = m.numVcs;
+        cfg.router.bufDepth = m.bufDepth;
+        std::uint64_t serialChecks = 0;
+        for (int workers : {1, 2, 4}) {
+            SCOPED_TRACE(std::string(router::toString(m.model)) +
+                         ", par.workers = " + std::to_string(workers));
+            net::Network net(cfg);
+            ASSERT_TRUE(net.auditEnabled());
+            {
+                par::ParConfig pc;
+                pc.workers = workers;
+                par::ParallelStepper stepper(net, pc);
+                ASSERT_EQ(stepper.workers(), workers);
+                stepper.run(500);
+            }
+            EXPECT_NO_THROW(net.auditTeardown());
+            ASSERT_NE(net.auditor(), nullptr);
+            // Wake-table and conservation checks ran every cycle, the
+            // same ones at every worker count.
+            EXPECT_GT(net.auditor()->checksRun(), 1000u);
+            if (workers == 1)
+                serialChecks = net.auditor()->checksRun();
+            EXPECT_EQ(net.auditor()->checksRun(), serialChecks);
         }
-        EXPECT_NO_THROW(net.auditTeardown());
-        ASSERT_NE(net.auditor(), nullptr);
-        // Wake-table and conservation checks ran every cycle, the same
-        // ones at every worker count.
-        EXPECT_GT(net.auditor()->checksRun(), 1000u);
-        if (workers == 1)
-            serialChecks = net.auditor()->checksRun();
-        EXPECT_EQ(net.auditor()->checksRun(), serialChecks);
     }
 }
 

@@ -115,7 +115,7 @@ usage(FILE *out)
         "  --profile          run: enable the engine profiler "
         "(prof.enable)\n"
         "                     and print the profile report after the\n"
-        "                     results (prof.* keys tune it)\n"
+        "                     results\n"
         "  --from PATH        profile: analyze an existing NDJSON "
         "stream\n"
         "                     instead of running the simulation\n"
@@ -314,9 +314,8 @@ cmdRun(const Options &opt)
     }
     if (res.prof) {
         std::printf("\n%s",
-                    prof::buildReport(*res.prof,
-                                      exp.base.net.makeLattice(),
-                                      exp.base.prof).c_str());
+                    prof::buildReport(*res.prof, exp.base.net.makeLattice())
+                        .c_str());
     }
     return 0;
 }
@@ -357,8 +356,7 @@ cmdProfile(const Options &opt)
             throw std::runtime_error("run produced no profile");
         cap = *res.prof;
     }
-    std::fputs(prof::buildReport(cap, exp.base.net.makeLattice(),
-                                 exp.base.prof).c_str(),
+    std::fputs(prof::buildReport(cap, exp.base.net.makeLattice()).c_str(),
                stdout);
     return 0;
 }
