@@ -7,8 +7,9 @@
  * themselves in one line instead of widening an enum switch:
  *
  *   traffic::PatternRegistry::instance().add(
- *       "diagonal", [](int k) { return std::make_unique<Diag>(k); },
- *       "every node sends to its diagonal mirror");
+ *       "reverse",
+ *       [](const traffic::PatternEnv &env) { return reverse(env); },
+ *       "every node sends to its mirror index");
  *
  * Lookups throw std::invalid_argument with the unknown name and the
  * list of registered names, so configuration errors are reported

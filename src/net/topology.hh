@@ -4,8 +4,8 @@
  *
  * Geometry lives in topo::Lattice (src/topo/lattice.hh): arbitrary
  * dimension count, per-dimension radix and wrap flags, concentration.
- * The historical `Mesh` name is kept as an alias -- every routing
- * function and the Network consume the generalized lattice.
+ * Every routing function and the Network consume the generalized
+ * lattice.
  *
  * The Port enum spells out the lattice port convention for the 2D case
  * (the paper's k x k mesh with one node per router): 0 = North (+y),
@@ -23,9 +23,6 @@
 namespace pdr::net {
 
 using topo::Lattice;
-
-/** Historical name of the network geometry type. */
-using Mesh = topo::Lattice;
 
 /** 2D specialization of the lattice port numbering (c = 1). */
 enum Port : int

@@ -20,6 +20,11 @@ Config::validate() const
             "telem.trace_packets must be >= 1 (1 traces every "
             "packet)");
     }
+    if (!out.empty() && out == trace && out != "/dev/null") {
+        throw std::invalid_argument(
+            "telem.out and telem.trace both name '" + out +
+            "'; the stream and the trace need files of their own");
+    }
 }
 
 bool

@@ -61,7 +61,7 @@ class Lattice
     int dims() const { return int(radix_.size()); }
     int radix(int d) const { return radix_[std::size_t(d)]; }
     bool wraps(int d) const { return wrap_[std::size_t(d)]; }
-    /** Any dimension wraps (the old Mesh::wraps()). */
+    /** Any dimension wraps. */
     bool wraps() const;
     int concentration() const { return conc_; }
 

@@ -1,12 +1,12 @@
 #include "traffic/pattern.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
 #include "common/logging.hh"
 #include "common/math.hh"
+#include "common/parse.hh"
 
 namespace pdr::traffic {
 
@@ -25,119 +25,23 @@ UniformPattern::pick(sim::NodeId src, Rng &rng) const
     return d;
 }
 
-TransposePattern::TransposePattern(int num_nodes)
+PermutationPattern::PermutationPattern(std::vector<sim::NodeId> dest)
+    : dest_(std::move(dest)), uniform_(int(dest_.size()))
 {
-    side_ = int(std::lround(std::sqrt(double(num_nodes))));
-    if (side_ * side_ != num_nodes) {
-        throw std::invalid_argument(csprintf(
-            "traffic.pattern=transpose needs a perfect-square node "
-            "count, got %d nodes", num_nodes));
+    for (std::size_t i = 0; i < dest_.size(); i++) {
+        if (dest_[i] < 0 || std::size_t(dest_[i]) >= dest_.size()) {
+            throw std::invalid_argument(csprintf(
+                "permutation entry %zu names node %d, outside [0, %zu)",
+                i, int(dest_[i]), dest_.size()));
+        }
     }
 }
 
 sim::NodeId
-TransposePattern::pick(sim::NodeId src, Rng &rng) const
+PermutationPattern::pick(sim::NodeId src, Rng &rng) const
 {
-    int x = int(src) % side_, y = int(src) / side_;
-    auto d = sim::NodeId(x * side_ + y);
-    if (d == src) {
-        // Diagonal nodes map to themselves; fall back to uniform so
-        // every node still offers load.
-        return UniformPattern(side_ * side_).pick(src, rng);
-    }
-    return d;
-}
-
-namespace {
-
-/** log2 of a power-of-two node count; throws for other counts. */
-int
-patternBits(const char *pattern, int num_nodes)
-{
-    if (!isPow2(unsigned(num_nodes))) {
-        throw std::invalid_argument(csprintf(
-            "traffic.pattern=%s needs a power-of-two node count, "
-            "got %d nodes", pattern, num_nodes));
-    }
-    int b = 0;
-    while ((1 << b) < num_nodes)
-        b++;
-    return b;
-}
-
-} // namespace
-
-BitComplementPattern::BitComplementPattern(int num_nodes)
-    : numNodes_(num_nodes)
-{
-    (void)patternBits("bitcomp", num_nodes);
-}
-
-sim::NodeId
-BitComplementPattern::pick(sim::NodeId src, Rng &) const
-{
-    return sim::NodeId((~unsigned(src)) & unsigned(numNodes_ - 1));
-}
-
-TornadoPattern::TornadoPattern(const topo::Lattice &lat) : lat_(lat) {}
-
-sim::NodeId
-TornadoPattern::pick(sim::NodeId src, Rng &) const
-{
-    sim::NodeId r = lat_.routerOf(src);
-    int k = lat_.radix(0);
-    int shift = (k + 1) / 2 - 1;
-    if (shift == 0)
-        shift = 1;
-    int x = lat_.coordOf(r, 0);
-    sim::NodeId dr = r + ((x + shift) % k - x);
-    return lat_.nodeAt(dr, lat_.localIndexOf(src));
-}
-
-NeighborPattern::NeighborPattern(const topo::Lattice &lat) : lat_(lat)
-{
-}
-
-sim::NodeId
-NeighborPattern::pick(sim::NodeId src, Rng &) const
-{
-    sim::NodeId r = lat_.routerOf(src);
-    int k = lat_.radix(0);
-    int x = lat_.coordOf(r, 0);
-    sim::NodeId dr = r + ((x + 1) % k - x);
-    return lat_.nodeAt(dr, lat_.localIndexOf(src));
-}
-
-BitReversePattern::BitReversePattern(int num_nodes)
-    : uniform_(num_nodes), bits_(patternBits("bitrev", num_nodes))
-{
-}
-
-sim::NodeId
-BitReversePattern::pick(sim::NodeId src, Rng &rng) const
-{
-    unsigned s = unsigned(src), d = 0;
-    for (int i = 0; i < bits_; i++)
-        d |= ((s >> i) & 1u) << (bits_ - 1 - i);
-    if (sim::NodeId(d) == src)
-        return uniform_.pick(src, rng);
-    return sim::NodeId(d);
-}
-
-ShufflePattern::ShufflePattern(int num_nodes)
-    : uniform_(num_nodes), numNodes_(num_nodes),
-      bits_(patternBits("shuffle", num_nodes))
-{
-}
-
-sim::NodeId
-ShufflePattern::pick(sim::NodeId src, Rng &rng) const
-{
-    unsigned s = unsigned(src);
-    unsigned d = ((s << 1) | (s >> (bits_ - 1))) & unsigned(numNodes_ - 1);
-    if (sim::NodeId(d) == src)
-        return uniform_.pick(src, rng);
-    return sim::NodeId(d);
+    sim::NodeId d = dest_[std::size_t(src)];
+    return d == src ? uniform_.pick(src, rng) : d;
 }
 
 HotspotPattern::HotspotPattern(int num_nodes, sim::NodeId hotspot,
@@ -155,8 +59,56 @@ HotspotPattern::pick(sim::NodeId src, Rng &rng) const
     return uniform_.pick(src, rng);
 }
 
-PermFilePattern::PermFilePattern(int num_nodes, const std::string &path)
-    : uniform_(num_nodes)
+namespace {
+
+/** The pattern sending node i to `f(i)`, for each of `num_nodes`. */
+template <class F>
+std::unique_ptr<TrafficPattern>
+fixedPattern(int num_nodes, F f)
+{
+    std::vector<sim::NodeId> dest;
+    for (int i = 0; i < num_nodes; i++)
+        dest.push_back(sim::NodeId(f(unsigned(i))));
+    return std::make_unique<PermutationPattern>(std::move(dest));
+}
+
+/** log2 of a power-of-two node count; throws for other counts. */
+int
+patternBits(const char *pattern, int num_nodes)
+{
+    if (!isPow2(unsigned(num_nodes))) {
+        throw std::invalid_argument(csprintf(
+            "traffic.pattern=%s needs a power-of-two node count, "
+            "got %d nodes", pattern, num_nodes));
+    }
+    int b = 0;
+    while ((1 << b) < num_nodes)
+        b++;
+    return b;
+}
+
+/** Every node to the same local index `shift` routers further along
+ *  the first dimension (wrapping). */
+std::unique_ptr<TrafficPattern>
+shiftFirstDim(const topo::Lattice &lat, int shift)
+{
+    int k = lat.radix(0);
+    return fixedPattern(lat.numNodes(), [&](unsigned i) {
+        sim::NodeId r = lat.routerOf(sim::NodeId(i));
+        int x = lat.coordOf(r, 0);
+        return lat.nodeAt(r + ((x + shift) % k - x),
+                          lat.localIndexOf(sim::NodeId(i)));
+    });
+}
+
+/**
+ * The destination table in permutation file `path`: one destination
+ * node index per line, line i naming the destination of node i.
+ * Blank lines and #-comments are skipped.  The file must define a
+ * permutation of 0..N-1; errors name the offending line.
+ */
+std::vector<sim::NodeId>
+loadPermFile(int num_nodes, const std::string &path)
 {
     if (path.empty()) {
         throw std::invalid_argument(
@@ -167,66 +119,46 @@ PermFilePattern::PermFilePattern(int num_nodes, const std::string &path)
         throw std::invalid_argument(
             "traffic.permfile: cannot open '" + path + "'");
     }
-    auto fail = [&](int lineno, const std::string &what) {
-        throw std::invalid_argument(csprintf(
-            "traffic.permfile %s: line %d: %s", path.c_str(), lineno,
-            what.c_str()));
-    };
 
-    dest_.assign(std::size_t(num_nodes), sim::Invalid);
+    std::vector<sim::NodeId> dest;
     std::vector<int> seen_at(std::size_t(num_nodes), 0);
     std::string line;
-    int lineno = 0, entries = 0;
+    int lineno = 0;
     while (std::getline(in, line)) {
         lineno++;
         // Strip comments and whitespace.
-        auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
+        line = line.substr(0, line.find('#'));
         auto b = line.find_first_not_of(" \t\r");
         if (b == std::string::npos)
             continue;
         auto e = line.find_last_not_of(" \t\r");
-        std::string tok = line.substr(b, e - b + 1);
-
-        if (entries >= num_nodes) {
-            fail(lineno, csprintf("more than %d entries", num_nodes));
+        std::string what =
+            csprintf("traffic.permfile %s: line %d", path.c_str(), lineno);
+        if (int(dest.size()) == num_nodes) {
+            throw std::invalid_argument(
+                csprintf("%s: more than %d entries", what.c_str(),
+                         num_nodes));
         }
-        char *end = nullptr;
-        long v = std::strtol(tok.c_str(), &end, 10);
-        if (end == tok.c_str() || *end != '\0') {
-            fail(lineno, "expected a node index, got '" + tok + "'");
+        auto v = sim::NodeId(parseInt(what, line.substr(b, e - b + 1), 0,
+                                      num_nodes - 1));
+        int &seen = seen_at[std::size_t(v)];
+        if (seen != 0) {
+            throw std::invalid_argument(csprintf(
+                "%s: destination %d already used on line %d (the file "
+                "must be a permutation)", what.c_str(), int(v), seen));
         }
-        if (v < 0 || v >= num_nodes) {
-            fail(lineno, csprintf(
-                "destination %ld out of range [0, %d)", v, num_nodes));
-        }
-        if (seen_at[std::size_t(v)] != 0) {
-            fail(lineno, csprintf(
-                "destination %ld already used on line %d (the file "
-                "must be a permutation)", v, seen_at[std::size_t(v)]));
-        }
-        seen_at[std::size_t(v)] = lineno;
-        dest_[std::size_t(entries)] = sim::NodeId(v);
-        entries++;
+        seen = lineno;
+        dest.push_back(v);
     }
-    if (entries != num_nodes) {
+    if (int(dest.size()) != num_nodes) {
         throw std::invalid_argument(csprintf(
             "traffic.permfile %s: expected %d entries (one per node), "
-            "got %d", path.c_str(), num_nodes, entries));
+            "got %zu", path.c_str(), num_nodes, dest.size()));
     }
+    return dest;
 }
 
-sim::NodeId
-PermFilePattern::pick(sim::NodeId src, Rng &rng) const
-{
-    sim::NodeId d = dest_[std::size_t(src)];
-    if (d == src) {
-        // Fixed points fall back to uniform so the node offers load.
-        return uniform_.pick(src, rng);
-    }
-    return d;
-}
+} // namespace
 
 PatternRegistry::PatternRegistry()
     : FactoryRegistry<PatternFactory>("traffic pattern")
@@ -239,38 +171,59 @@ PatternRegistry::PatternRegistry()
         "uniform random over all other nodes (the paper's workload)");
     add("transpose",
         [](const PatternEnv &env) {
-            return std::make_unique<TransposePattern>(
-                env.lattice.numNodes());
+            int n = env.lattice.numNodes();
+            int side = int(std::lround(std::sqrt(double(n))));
+            if (side * side != n) {
+                throw std::invalid_argument(csprintf(
+                    "traffic.pattern=transpose needs a perfect-square "
+                    "node count, got %d nodes", n));
+            }
+            return fixedPattern(n, [side](unsigned i) {
+                return int(i) % side * side + int(i) / side;
+            });
         },
         "matrix transpose over the node square: (x, y) -> (y, x)");
     add("bitcomp",
         [](const PatternEnv &env) {
-            return std::make_unique<BitComplementPattern>(
-                env.lattice.numNodes());
+            int n = env.lattice.numNodes();
+            patternBits("bitcomp", n);
+            return fixedPattern(n, [n](unsigned i) {
+                return ~i & unsigned(n - 1);
+            });
         },
         "bit complement: node i -> ~i (power-of-two node counts)");
     add("tornado",
         [](const PatternEnv &env) {
-            return std::make_unique<TornadoPattern>(env.lattice);
+            int shift = (env.lattice.radix(0) + 1) / 2 - 1;
+            return shiftFirstDim(env.lattice, shift == 0 ? 1 : shift);
         },
         "tornado: half-way around the first dimension");
     add("neighbor",
         [](const PatternEnv &env) {
-            return std::make_unique<NeighborPattern>(env.lattice);
+            return shiftFirstDim(env.lattice, 1);
         },
         "nearest neighbor: +1 router in the first dimension "
         "(wrapping)");
     add("bitrev",
         [](const PatternEnv &env) {
-            return std::make_unique<BitReversePattern>(
-                env.lattice.numNodes());
+            int n = env.lattice.numNodes();
+            int bits = patternBits("bitrev", n);
+            return fixedPattern(n, [bits](unsigned i) {
+                unsigned d = 0;
+                for (int b = 0; b < bits; b++)
+                    d |= ((i >> b) & 1u) << (bits - 1 - b);
+                return d;
+            });
         },
         "bit reversal: node i -> reverse of i's bits (power-of-two "
         "node counts)");
     add("shuffle",
         [](const PatternEnv &env) {
-            return std::make_unique<ShufflePattern>(
-                env.lattice.numNodes());
+            int n = env.lattice.numNodes();
+            int bits = patternBits("shuffle", n);
+            return fixedPattern(n, [n, bits](unsigned i) {
+                return ((i << 1) | (i >> (bits - 1))) & unsigned(n - 1);
+            });
         },
         "perfect shuffle: node i -> rotate-left of i's bits "
         "(power-of-two node counts)");
@@ -287,8 +240,8 @@ PatternRegistry::PatternRegistry()
         "10% of traffic to the center node, the rest uniform");
     add("permfile",
         [](const PatternEnv &env) {
-            return std::make_unique<PermFilePattern>(
-                env.lattice.numNodes(), env.permfile);
+            return std::make_unique<PermutationPattern>(
+                loadPermFile(env.lattice.numNodes(), env.permfile));
         },
         "explicit permutation from traffic.permfile (one destination "
         "per line)");

@@ -6,7 +6,9 @@
  * control is relatively insensitive to the pattern, unlike routing).
  * The standard synthetic patterns of the interconnection-network
  * literature are provided as extensions for the example programs and
- * ablation benches.
+ * ablation benches.  Three classes cover them: UniformPattern,
+ * HotspotPattern and PermutationPattern, the fixed destination table
+ * that every fixed pattern's registry entry fills in.
  *
  * Patterns are defined over *terminal node* indices (0 .. numNodes-1 of
  * the lattice), so they respect concentration: on a cmesh the
@@ -48,9 +50,6 @@ class TrafficPattern
 
     /** Destination for a packet created at `src` (never src itself). */
     virtual sim::NodeId pick(sim::NodeId src, Rng &rng) const = 0;
-
-    /** Pattern name for reports. */
-    virtual std::string name() const = 0;
 };
 
 /** Uniform random over all other nodes. */
@@ -59,92 +58,32 @@ class UniformPattern : public TrafficPattern
   public:
     explicit UniformPattern(int num_nodes);
     sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "uniform"; }
 
   private:
     int numNodes_;
 };
 
-/** Matrix transpose over the node index square: (x, y) -> (y, x).
- *  Needs a perfect-square node count (any k x k mesh qualifies; so do
- *  cmesh c=4 and kary3cube with even powers). */
-class TransposePattern : public TrafficPattern
+/**
+ * A fixed destination per node: node i sends to `dest[i]`.  A *fixed
+ * point* (an entry naming its own node) draws uniformly over the other
+ * nodes instead, so every node still offers load; no other pick draws
+ * from the RNG.  Every fixed pattern (transpose, bitcomp, tornado,
+ * neighbor, bitrev, shuffle, permfile) is a table of this class.
+ */
+class PermutationPattern : public TrafficPattern
 {
   public:
-    explicit TransposePattern(int num_nodes);
+    /** One entry per node; throws std::invalid_argument if an entry
+     *  names no node. */
+    explicit PermutationPattern(std::vector<sim::NodeId> dest);
     sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "transpose"; }
+
+    /** Every node's entry, fixed points included. */
+    const std::vector<sim::NodeId> &table() const { return dest_; }
 
   private:
-    int side_;
-};
-
-/** Bit complement: node i -> ~i (over log2(N) bits). */
-class BitComplementPattern : public TrafficPattern
-{
-  public:
-    explicit BitComplementPattern(int num_nodes);
-    sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "bitcomp"; }
-
-  private:
-    int numNodes_;
-};
-
-/** Tornado: half-way around the first dimension (router-level; the
- *  local index rides along unchanged). */
-class TornadoPattern : public TrafficPattern
-{
-  public:
-    explicit TornadoPattern(const topo::Lattice &lat);
-    sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "tornado"; }
-
-  private:
-    topo::Lattice lat_;
-};
-
-/** Nearest neighbor: +1 router in the first dimension (wrapping). */
-class NeighborPattern : public TrafficPattern
-{
-  public:
-    explicit NeighborPattern(const topo::Lattice &lat);
-    sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "neighbor"; }
-
-  private:
-    topo::Lattice lat_;
-};
-
-/** Bit reversal: node i -> reverse of i's log2(N) bits.  Palindromic
- *  ids (which map to themselves) fall back to a uniform draw so every
- *  node still offers load, mirroring the transpose diagonal. */
-class BitReversePattern : public TrafficPattern
-{
-  public:
-    explicit BitReversePattern(int num_nodes);
-    sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "bitrev"; }
-
-  private:
+    std::vector<sim::NodeId> dest_;
     UniformPattern uniform_;
-    int bits_;
-};
-
-/** Perfect shuffle: node i -> rotate i's log2(N) bits left by one.
- *  The fixed points (all-zeros and all-ones) fall back to a uniform
- *  draw so every node still offers load. */
-class ShufflePattern : public TrafficPattern
-{
-  public:
-    explicit ShufflePattern(int num_nodes);
-    sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "shuffle"; }
-
-  private:
-    UniformPattern uniform_;
-    int numNodes_;
-    int bits_;
 };
 
 /**
@@ -156,37 +95,11 @@ class HotspotPattern : public TrafficPattern
   public:
     HotspotPattern(int num_nodes, sim::NodeId hotspot, double fraction);
     sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "hotspot"; }
 
   private:
     UniformPattern uniform_;
     sim::NodeId hotspot_;
     double fraction_;
-};
-
-/**
- * Explicit permutation loaded from a file (traffic.pattern=permfile,
- * traffic.permfile=<path>): one destination node index per line, line
- * i naming the destination of node i.  Blank lines and #-comments are
- * skipped.  The file must define a permutation of 0..N-1; validation
- * errors name the offending line.  Fixed points (dest == src) fall
- * back to a uniform draw so every node still offers load.
- */
-class PermFilePattern : public TrafficPattern
-{
-  public:
-    PermFilePattern(int num_nodes, const std::string &path);
-    sim::NodeId pick(sim::NodeId src, Rng &rng) const override;
-    std::string name() const override { return "permfile"; }
-
-    const std::vector<sim::NodeId> &permutation() const
-    {
-        return dest_;
-    }
-
-  private:
-    UniformPattern uniform_;
-    std::vector<sim::NodeId> dest_;
 };
 
 /** Builds a pattern for a lattice (plus pattern-specific inputs). */
@@ -197,11 +110,12 @@ using PatternFactory =
  * String-keyed pattern registry.  The built-in patterns (uniform,
  * transpose, bitcomp, tornado, neighbor, hotspot, bitrev, shuffle,
  * permfile) are pre-registered; new scenarios add themselves in one
- * line:
+ * line.  A fixed pattern is a destination table, not a class:
  *
  *   PatternRegistry::instance().add("mine",
  *       [](const PatternEnv &env) {
- *           return std::make_unique<MyPattern>(env.lattice);
+ *           std::vector<sim::NodeId> dest = ...;  // one per node
+ *           return std::make_unique<PermutationPattern>(dest);
  *       },
  *       "what it does");
  *

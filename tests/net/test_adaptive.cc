@@ -19,7 +19,7 @@ using namespace pdr::net;
 class WestFirstTest : public testing::Test
 {
   protected:
-    Mesh mesh{Mesh::mesh2D(8)};
+    Lattice mesh{Lattice::mesh2D(8)};
     WestFirstRouting wf{mesh};
 
     std::vector<int>

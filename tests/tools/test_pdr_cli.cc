@@ -488,3 +488,75 @@ TEST(PdrCliSlice, BadSliceSyntaxIsRejected)
             << slice << ": " << res.out;
     }
 }
+
+// ---------------------------------------------------------------------
+// Every telemetry output file has one writer.
+// ---------------------------------------------------------------------
+
+TEST(PdrCliTelem, SweepRejectsATraceTwoPointsWouldWrite)
+{
+    std::string trace = testing::TempDir() + "pdr_cli_shared_trace.json";
+    auto res = run(std::string(kTinySweep) + " --telem.trace=" + trace);
+    EXPECT_EQ(res.status, 1) << res.out;
+    EXPECT_NE(res.out.find("telem.trace '" + trace + "'"),
+              std::string::npos)
+        << res.out;
+    EXPECT_NE(res.out.find("points 0 and 1"), std::string::npos)
+        << res.out;
+    EXPECT_NE(res.out.find("--telem PREFIX"), std::string::npos)
+        << res.out;
+
+    // A slice names its points by grid index.
+    auto sliced = run(std::string(kTinySweep) + " --slice 1/2" +
+                      " --telem.trace=" + trace);
+    EXPECT_EQ(sliced.status, 1) << sliced.out;
+    EXPECT_NE(sliced.out.find("points 2 and 3"), std::string::npos)
+        << sliced.out;
+}
+
+TEST(PdrCliTelem, SweepRejectsAStreamTwoPointsWouldWrite)
+{
+    std::string out = testing::TempDir() + "pdr_cli_shared.ndjson";
+    auto res = run(std::string(kTinySweep) +
+                   " --telem.enable=true --telem.out=" + out);
+    EXPECT_EQ(res.status, 1) << res.out;
+    EXPECT_NE(res.out.find("telem.out '" + out + "'"), std::string::npos)
+        << res.out;
+
+    // The profiler streams too.
+    auto prof = run(std::string(kTinySweep) +
+                    " --prof.enable=true --telem.out=" + out);
+    EXPECT_EQ(prof.status, 1) << prof.out;
+    EXPECT_NE(prof.out.find("telem.out"), std::string::npos) << prof.out;
+}
+
+TEST(PdrCliTelem, SweepAllowsOneWriterPerFile)
+{
+    // /dev/null takes every point's stream.
+    auto null = run(std::string(kTinySweep) +
+                    " --telem.enable=true --telem.out=/dev/null");
+    EXPECT_EQ(null.status, 0) << null.out;
+
+    // --telem PREFIX gives each point a stream of its own.
+    std::string prefix = testing::TempDir() + "pdr_cli_prefix";
+    auto each = run(std::string(kTinySweep) + " --telem " + prefix +
+                    " --csv " + prefix + ".csv");
+    EXPECT_EQ(each.status, 0) << each.out;
+
+    // One point may write a trace.
+    auto one = run(std::string(kTinySweep) + " --slice 3/4" +
+                   " --telem.trace=" + prefix + ".trace.json");
+    EXPECT_EQ(one.status, 0) << one.out;
+}
+
+TEST(PdrCliTelem, RunRejectsStreamAndTraceInOneFile)
+{
+    std::string f = testing::TempDir() + "pdr_cli_both.out";
+    auto res = run("run --net.k=4 --sim.warmup=200 "
+                   "--sim.sample_packets=300 --telem=" + f +
+                   " --trace=" + f);
+    EXPECT_EQ(res.status, 1) << res.out;
+    EXPECT_NE(res.out.find("telem.out and telem.trace"),
+              std::string::npos)
+        << res.out;
+}

@@ -17,9 +17,11 @@ set -euo pipefail
 # every other experiment runs with PDR_FAST=1 against <exp>.fast.csv.
 # PDR_THREADS=1 keeps the sweep pool from claiming the cores, so the
 # network workers spin up.  The other paper figures (fig13, fig14,
-# fig15, fig17), bursty (the only golden with MMPP arrivals) and
+# fig15, fig16, fig17), bursty (the only golden with MMPP arrivals),
 # ablation (equal-priority speculation, 1 and 8 VCs, slow credits,
-# the torus) run at the default split.
+# the torus) and patterns (the transpose, bitrev and shuffle tables)
+# run at the default split; fig16 is the only golden in
+# sim.mode = fixed, and it drives neighbor traffic.
 CELLS="
 fig18      -  -  -
 fig18      1  1  -
@@ -42,9 +44,11 @@ kary3cube  1  -  prof
 fig13      -  -  -
 fig14      -  -  -
 fig15      -  -  -
+fig16      -  -  -
 fig17      -  -  -
 bursty     -  -  -
 ablation   -  -  -
+patterns   -  -  -
 "
 
 if [[ $# -gt 1 ]]; then

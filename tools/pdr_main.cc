@@ -361,6 +361,40 @@ cmdProfile(const Options &opt)
     return 0;
 }
 
+/**
+ * Reject a telemetry file that two sweep points would write: points
+ * run concurrently, so their records would interleave into one
+ * unreadable file.  A point writes telem.trace when it is set, and
+ * telem.out when it streams (telem.enable or prof.enable); /dev/null
+ * takes any number of writers.  One point writing both keys to one
+ * path is telem::Config::validate()'s error.
+ */
+void
+requireOneWriterPerFile(const std::vector<exec::SweepPoint> &points,
+                        std::size_t first_index)
+{
+    std::map<std::string, std::size_t> writer;   // path -> first point
+    auto claim = [&](const char *key, const std::string &path,
+                     std::size_t i) {
+        if (path.empty() || path == "/dev/null")
+            return;
+        auto [it, fresh] = writer.emplace(path, i);
+        if (!fresh && it->second != i) {
+            throw std::invalid_argument(csprintf(
+                "%s '%s' would be written by sweep points %zu and %zu "
+                "at once; give each point its own file (--telem PREFIX "
+                "streams point i to PREFIX.i.ndjson)", key, path.c_str(),
+                first_index + it->second, first_index + i));
+        }
+    };
+    for (std::size_t i = 0; i < points.size(); i++) {
+        const auto &cfg = points[i].cfg;
+        claim("telem.trace", cfg.telem.trace, i);
+        if (cfg.telem.enable || cfg.prof.enable)
+            claim("telem.out", cfg.telem.out, i);
+    }
+}
+
 int
 cmdSweep(const Options &opt)
 {
@@ -418,6 +452,7 @@ cmdSweep(const Options &opt)
                              sweep_opts.firstIndex + i);
         }
     }
+    requireOneWriterPerFile(points, sweep_opts.firstIndex);
 
     auto results = exec::SweepRunner(sweep_opts).run(points);
 
