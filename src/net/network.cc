@@ -461,7 +461,8 @@ Network::auditCycle()
     // must equal a dense recompute from the per-VC pipeline state.
     // The bitsets are the router-internal analog of the wake table
     // (updated at the same mutation points), so a stale bit here is
-    // the allocation-side dual of an AUD-WAKE violation.
+    // the allocation-side dual of an AUD-WAKE violation.  The same
+    // router check recomputes each occupied VC's route record.
     for (std::size_t i = 0; i < routers_.size(); i++) {
         checks++;
         std::string diag = routers_[i].auditBidState();

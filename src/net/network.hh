@@ -372,7 +372,8 @@ class Network
      * [AUD-WAKE] no consumer sleeps past a matured channel item, and
      * no router's arrival mask hides a non-empty input channel;
      * [AUD-CREDIT] every link VC conserves its buffer depth;
-     * [AUD-BID] every router's bid bitsets match a dense recompute.
+     * [AUD-BID] every router's bid bitsets and route records match
+     * a dense recompute.
      * Requires auditEnabled().
      */
     void auditCycle();

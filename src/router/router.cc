@@ -9,7 +9,8 @@ namespace pdr::router {
 
 Router::Router(sim::NodeId id, const RouterConfig &cfg,
                const RoutingFunction &routing)
-    : id_(id), cfg_(cfg), routing_(routing)
+    : id_(id), cfg_(cfg), routing_(routing),
+      adaptive_(routing.isAdaptive())
 {
     cfg_.validate();
     if (cfg_.numPorts < 2) {
@@ -157,6 +158,37 @@ Router::auditBidState() const
                     "fifo %d", port, vc, int(!act), int(ivc.state),
                     int(ivc.fifo.size()));
             }
+            if (ivc.state != VcState::Idle && !ivc.fifo.empty()) {
+                // The route record, recomputed from the front flit: any
+                // flit of the packet gives the head's values (the
+                // contract in routing.hh).  An adaptive route depends
+                // on port scores since changed, so only its mask and
+                // class are checked.
+                const sim::Flit &f = ivc.fifo.front();
+                const int route =
+                    adaptive_ ? ivc.route : routing_.route(id_, f);
+                if (route != ivc.route) {
+                    return csprintf(
+                        "route record (port %d, vc %d): stored route %d, "
+                        "recomputed %d", port, vc, ivc.route, route);
+                }
+                const std::uint32_t mask =
+                    routing_.vcMask(f, id_, ivc.route, v);
+                if (mask != ivc.vcMask) {
+                    return csprintf(
+                        "route record (port %d, vc %d, route %d): "
+                        "stored vcMask %#x, recomputed %#x", port, vc,
+                        ivc.route, ivc.vcMask, mask);
+                }
+                const auto cls = std::uint8_t(
+                    routing_.nextClass(f, id_, ivc.route));
+                if (cls != ivc.nextClass) {
+                    return csprintf(
+                        "route record (port %d, vc %d, route %d): "
+                        "stored nextClass %d, recomputed %d", port, vc,
+                        ivc.route, int(ivc.nextClass), int(cls));
+                }
+            }
             if (ivc.state != VcState::Active)
                 continue;
             if (ivc.route < 0 || ivc.route >= p || ivc.outVc < 0 ||
@@ -226,6 +258,11 @@ Router::portScore(int out_port) const
 int
 Router::selectRoute(const sim::Flit &head)
 {
+    if (!adaptive_) {
+        const int route = routing_.route(id_, head);
+        pdr_assert(route >= 0 && route < cfg_.numPorts);
+        return route;
+    }
     routing_.candidates(id_, head, candScratch_);
     pdr_assert(!candScratch_.empty());
     int best = candScratch_.front();
@@ -241,6 +278,15 @@ Router::selectRoute(const sim::Flit &head)
     }
     pdr_assert(best >= 0 && best < cfg_.numPorts);
     return best;
+}
+
+void
+Router::routeHead(InputVc &ivc, const sim::Flit &head)
+{
+    ivc.route = selectRoute(head);
+    ivc.vcMask = routing_.vcMask(head, id_, ivc.route, cfg_.numVcs);
+    ivc.nextClass =
+        std::uint8_t(routing_.nextClass(head, id_, ivc.route));
 }
 
 void
@@ -307,7 +353,7 @@ Router::receiveFlits(sim::Cycle now)
                 // the previous tail departs.
                 pdr_assert(ivc.fifo.empty());
                 ivc.state = VcState::RouteWait;
-                ivc.route = selectRoute(f);
+                routeHead(ivc, f);
             }
             ivc.fifo.push(f);
             bufferedNow_++;
@@ -335,13 +381,16 @@ Router::vaPhase(sim::Cycle now)
             return;
         pdr_assert(sim::isHead(head.type));
         const int port = vi / v, vc = vi % v;
-        if (routing_.isAdaptive()) {
+        if (adaptive_) {
             // Footnote 5: re-iterate through the routing function
             // on every attempt, picking one output port.
-            ivc.route = selectRoute(head);
+            routeHead(ivc, head);
         }
-        vaReqs_.push_back({port, vc, ivc.route,
-                           routing_.vcMask(head, id_, ivc.route, v)});
+        // A request with no free candidate VC cannot be granted (the
+        // allocator would skip it before touching any state), so
+        // only grantable requests are staged.
+        if (std::uint64_t(ivc.vcMask) & outFree_[ivc.route])
+            vaReqs_.push_back({port, vc, ivc.route, ivc.vcMask});
         if (specBids_) {
             // Speculative switch bid issued in parallel with the VA
             // request, before its outcome is known.
@@ -387,8 +436,8 @@ Router::saPhaseWormhole(sim::Cycle now)
             // Head arbitrates for a free output port; it also needs a
             // downstream buffer to move into.
             pdr_assert(sim::isHead(f.type));
-            if (routing_.isAdaptive())
-                ivc.route = selectRoute(f);
+            if (adaptive_)
+                routeHead(ivc, f);
             if (!(outFree_[ivc.route] & 1u)) {
                 closeStall(ivc, now);   // Held port, not a credit stall.
             } else if (hasCredit(ivc.route, 0)) {
@@ -510,7 +559,8 @@ Router::departFlit(int in_port, int in_vc, int out_port, int out_vc,
     // unit-latency model folds it into the single cycle.
     sim::Cycle st_extra = cfg_.singleCycle ? 0 : 1;
     f.vc = out_vc;
-    f.vclass = std::uint8_t(routing_.nextClass(f, id_, out_port));
+    pdr_assert(out_port == ivc.route);  // The record's class is ours.
+    f.vclass = ivc.nextClass;
     pdr_assert(op.out);
     op.out->push(f, now, st_extra);
     stats_.flitsOut++;
@@ -543,7 +593,7 @@ Router::releaseAndTakeOver(int in_port, int in_vc, int out_port,
     auto &head = ivc.fifo.front();
     pdr_assert(sim::isHead(head.type));
     ivc.state = VcState::RouteWait;
-    ivc.route = selectRoute(head);
+    routeHead(ivc, head);
     head.eligible = std::max(head.eligible, now + firstActionDelay());
 }
 
@@ -561,7 +611,6 @@ Router::nextWake(sim::Cycle now)
     // lowers our wake entry on push).
     sim::Cycle t = sim::CycleNever;
     const bool wh = cfg_.model == RouterModel::Wormhole;
-    const int v = cfg_.numVcs;
     // The union of the bid bitsets is exactly the occupied, actionable
     // VCs the dense scan used to filter down to (RouteWait implies a
     // buffered head; Active VCs with drained FIFOs are excluded).
@@ -592,9 +641,7 @@ Router::nextWake(sim::Cycle now)
                 // a free candidate output VC.  All-busy candidates
                 // free only during our own ticks (tail
                 // departures), so such a VC does not pin us awake.
-                std::uint32_t mask =
-                    routing_.vcMask(f, id_, ivc.route, v);
-                if (std::uint64_t(mask) & outFree_[ivc.route])
+                if (std::uint64_t(ivc.vcMask) & outFree_[ivc.route])
                     return true;        // VA can grant someone.
             }
         } else if (ivc.state == VcState::Active) {

@@ -217,9 +217,12 @@ class Router
     /**
      * AUD-BID: recompute the incremental allocation bitsets (RouteWait
      * bids, Active bids, free output-VC words with the wormhole port
-     * holds) densely from the per-VC state and compare.  Returns an
-     * empty string when consistent, otherwise a diagnostic naming the
-     * first mismatching entry.
+     * holds) densely from the per-VC state and compare; and recompute
+     * the route record of every RouteWait or Active VC holding a flit
+     * from its front flit (the VC mask and next class for the stored
+     * route, and for a non-adaptive routing the route itself).
+     * Returns an empty string when consistent, otherwise a diagnostic
+     * naming the first mismatching entry.
      */
     std::string auditBidState() const;
 
@@ -234,22 +237,38 @@ class Router
         Active,     //!< Resources held; flits flow through SA/ST.
     };
 
-    /** Per input virtual channel (per input port for WH). */
+    /**
+     * Per input virtual channel (per input port for WH).
+     *
+     * route, vcMask and nextClass are the packet's route record for
+     * this hop, written together by routeHead() when its head is
+     * routed (and, for an adaptive routing only, again on every
+     * allocation attempt).  VA and nextWake read the mask, departFlit
+     * stamps every departing flit with the class; routing.hh states
+     * why one evaluation from the head serves the whole packet.
+     */
     struct InputVc
     {
         sim::Ring<sim::Flit> fifo;  //!< Input buffer, sized to bufDepth.
         VcState state = VcState::Idle;
+        /** Deadlock class the packet's flits carry after this hop. */
+        std::uint8_t nextClass = 0;
+        int route = sim::Invalid;   //!< Routed output port.
+        /** Output VCs of `route` the packet may be allocated (bit i =
+         *  VC i). */
+        std::uint32_t vcMask = 0;
+        /** Allocated output VC (0 for a wormhole port hold). */
+        int outVc = sim::Invalid;
         /** Cycle of the last VA grant; `vaGrantTick == now` is "VA
          *  granted this tick" (the speculation check), and an Active
          *  VC requests the switch from vaGrantTick + vaToSaDelay(). */
         sim::Cycle vaGrantTick = sim::CycleNever;
-        int route = sim::Invalid;   //!< Routed output port.
-        /** Allocated output VC (0 for a wormhole port hold). */
-        int outVc = sim::Invalid;
         /** First cycle of the open credit-stall interval (CycleNever
          *  when not stalled). */
         sim::Cycle stallSince = sim::CycleNever;
     };
+    static_assert(sizeof(InputVc) <= 80,
+                  "InputVc is streamed by every allocation scan");
 
     // Hot per-VC state lives in flat structure-of-arrays slabs indexed
     // [port * numVcs + vc] (vidx) rather than nested per-port vectors:
@@ -337,11 +356,14 @@ class Router
 
     /**
      * Route selection for a head flit.  Deterministic routing returns
-     * the single route; adaptive routing picks the candidate with the
+     * route() directly; adaptive routing picks the candidate with the
      * most downstream buffer space (re-evaluated on every allocation
      * attempt, per the paper's footnote-5 re-iteration policy).
      */
     int selectRoute(const sim::Flit &head);
+    /** Route `head`'s packet: write ivc's route record (output port,
+     *  VC mask and next class) in one go. */
+    void routeHead(InputVc &ivc, const sim::Flit &head);
     /** Free downstream buffer space through `out_port` (adaptivity
      *  metric). */
     int portScore(int out_port) const;
@@ -349,6 +371,9 @@ class Router
     sim::NodeId id_;
     RouterConfig cfg_;
     const RoutingFunction &routing_;
+    /** routing_.isAdaptive(), cached: only an adaptive routing
+     *  re-routes a head on every allocation attempt. */
+    bool adaptive_ = false;
 
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;

@@ -14,6 +14,30 @@
  * initPacket() is the injection-time hook where oblivious routings draw
  * that per-packet state; deterministic routings leave it alone (and
  * draw nothing, keeping RNG streams untouched).
+ *
+ * Route once per hop.  The router evaluates route() (or, for an
+ * adaptive routing, candidates()), vcMask() and nextClass() together
+ * when a packet's head is routed at a router, keeps the results as the
+ * packet's route record for that hop, and stamps the record's class on
+ * every flit of the packet as it departs.  That is exact because of a
+ * purity contract every implementation must keep:
+ *
+ *  - route(), candidates(), vcMask() and nextClass() read only the
+ *    flit's packet fields `dest`, `vclass` and `inter`, plus `here`,
+ *    `out_port` and `num_vcs` -- never its type, sequence number,
+ *    timestamps or VC, and no mutable state of their own;
+ *  - the source stamps one `vclass` and one `inter` on every flit of a
+ *    packet, and each hop rewrites all of a packet's flits to the same
+ *    next class.
+ *
+ * So the value computed from the head equals the value computed from
+ * any flit of the packet, at every hop.  A non-adaptive routing
+ * (isAdaptive() false) must return exactly { route() } from
+ * candidates(): the router then calls route() alone.  Only an adaptive
+ * routing is re-evaluated on every allocation attempt (footnote 5),
+ * and its vcMask() and nextClass() with it.  The invariant auditor
+ * (PDR_AUDIT=1, check AUD-BID) recomputes the record from the front
+ * flit of every occupied VC and names the first mismatch.
  */
 
 #ifndef PDR_ROUTER_ROUTING_HH

@@ -26,9 +26,15 @@
  *     words (the sparse sets the allocation phases and nextWake
  *     iterate; a wormhole port hold is bit 0) must equal a dense
  *     recompute from the per-VC pipeline state, with one Active
- *     holder per held output VC, every cycle.  A stale bit is the allocation-side dual of
- *     an AUD-WAKE violation: a VC that would bid under a dense scan
- *     but is skipped by the sparse one.
+ *     holder per held output VC, every cycle.  A stale bit is the
+ *     allocation-side dual of an AUD-WAKE violation: a VC that would
+ *     bid under a dense scan but is skipped by the sparse one.  The
+ *     same check recomputes the route record of every RouteWait or
+ *     Active VC holding a flit from its front flit -- the VC mask and
+ *     next class for the stored route, and for a non-adaptive routing
+ *     the route itself -- and names the port, the VC and both values
+ *     of the first mismatch: a routing function that breaks the
+ *     purity contract of router/routing.hh.
  *   - flit conservation [AUD-LEAK]: the flits the sources sent minus
  *     the flits the sinks ejected must equal the flits in channels
  *     plus router input FIFOs.  A shortfall is a flit lost on the way

@@ -2,8 +2,9 @@
  * @file
  * Single-router test harness: one Router with all five ports wired to
  * externally driven channels, a trivial routing function (the packet
- * destination *is* the output port), and helpers to inject flits,
- * return credits and observe departures cycle by cycle.
+ * destination *is* the output port) unless the test brings its own,
+ * and helpers to inject flits, return credits and observe departures
+ * cycle by cycle.
  */
 
 #ifndef PDR_TESTS_ROUTER_HARNESS_HH
@@ -33,9 +34,12 @@ class SingleRouter
     using FlitChannel = sim::Channel<sim::Flit>;
     using CreditChannel = sim::Channel<sim::Credit>;
 
+    /** `routing` (default: DirectRouting) must outlive the harness. */
     explicit SingleRouter(const router::RouterConfig &cfg,
-                          int sink_port = sim::Invalid)
-        : router_(std::make_unique<router::Router>(0, cfg, routing_))
+                          int sink_port = sim::Invalid,
+                          const router::RoutingFunction *routing = nullptr)
+        : router_(std::make_unique<router::Router>(
+              0, cfg, routing ? *routing : direct_))
     {
         lastReady_.assign(cfg.numPorts, 0);
         for (int p = 0; p < cfg.numPorts; p++) {
@@ -140,7 +144,7 @@ class SingleRouter
     }
 
   private:
-    DirectRouting routing_;
+    DirectRouting direct_;
     std::unique_ptr<router::Router> router_;
     std::vector<std::unique_ptr<FlitChannel>> in_;
     std::vector<std::unique_ptr<FlitChannel>> out_;

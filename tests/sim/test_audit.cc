@@ -8,7 +8,9 @@
  * nonzero number of checks, bit-identical to an unaudited run), a
  * deliberately corrupted wake-table entry trips [AUD-WAKE] on the next
  * step, so does a router arrival bit cleared over a non-empty
- * channel, a credit dropped from or copied onto a credit channel trips
+ * channel, a route record gone stale under a routing function that
+ * broke its purity contract trips [AUD-BID], a credit dropped from or
+ * copied onto a credit channel trips
  * [AUD-CREDIT] on the next step, and a flit dropped from or copied
  * onto a queue trips [AUD-LEAK] at teardown.  The checks run at every
  * worker count: the partitioned stepper runs them on worker 0 with
@@ -17,10 +19,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <cctype>
+#include <memory>
 #include <string>
 
+#include "net/dor_routing.hh"
 #include "net/network.hh"
+#include "net/registry.hh"
 #include "par/stepper.hh"
 #include "sim/audit.hh"
 
@@ -72,6 +79,28 @@ busyCreditChannel(net::Network &net, bool injection)
     }
     return net.numCreditChans();
 }
+
+/** Set between cycles to narrow NarrowingDorRouting's VC masks. */
+std::atomic<bool> narrowMasks{false};
+
+/** DOR whose VC mask narrows to VC 0 once narrowMasks is set: a
+ *  routing function that breaks the purity contract of routing.hh, so
+ *  every route record written before the switch goes stale. */
+class NarrowingDorRouting : public net::DorRouting
+{
+  public:
+    using net::DorRouting::DorRouting;
+
+    std::uint32_t
+    vcMask(const sim::Flit &head, sim::NodeId here, int out_port,
+           int num_vcs) const override
+    {
+        const std::uint32_t mask =
+            DorRouting::vcMask(head, here, out_port, num_vcs);
+        return narrowMasks.load(std::memory_order_relaxed) ? mask & 1u
+                                                           : mask;
+    }
+};
 
 /** How AUD-CREDIT names credit channel `i`'s upstream credit holder:
  *  "source N" or "router R port P". */
@@ -254,6 +283,55 @@ TEST(Audit, CatchesClearedArrivalBit)
                 << e.what();
         }
     }
+}
+
+TEST(Audit, CatchesStaleRouteRecord)
+{
+    // A router computes a head's VC mask and next class once, when it
+    // routes the head, and reuses them for the whole packet.  Narrow
+    // the routing function's masks between cycles, with the gang
+    // parked: every packet routed before then holds a stale record,
+    // and [AUD-BID] must name a router holding one on the next step.
+    net::RoutingRegistry::instance().add(
+        "test_narrowing_dor",
+        [](const net::Lattice &lat)
+            -> std::unique_ptr<router::RoutingFunction> {
+            return std::make_unique<NarrowingDorRouting>(lat);
+        },
+        "DOR whose VC masks narrow mid-run (audit test)");
+    for (int workers : {1, 2, 4}) {
+        SCOPED_TRACE("par.workers = " + std::to_string(workers));
+        narrowMasks = false;
+        auto cfg = auditedConfig();
+        cfg.routing = "test_narrowing_dor";
+        net::Network net(cfg);
+        par::ParConfig pc;
+        pc.workers = workers;
+        par::ParallelStepper stepper(net, pc);
+        ASSERT_EQ(stepper.workers(), workers);
+        stepper.run(100);  // Packets routed and buffered everywhere.
+        narrowMasks = true;
+        try {
+            stepper.run(1);
+            FAIL() << "stale route record not detected";
+        } catch (const sim::AuditError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("AUD-BID"), std::string::npos) << what;
+            // "..., router N: route record (port P, vc V, route R):
+            // stored vcMask 0x.., recomputed 0x1"
+            const std::size_t at = what.find(", router ");
+            ASSERT_NE(at, std::string::npos) << what;
+            EXPECT_TRUE(std::isdigit(
+                static_cast<unsigned char>(what[at + 9])))
+                << what;
+            EXPECT_NE(what.find(": route record (port "),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find("recomputed 0x1"), std::string::npos)
+                << what;
+        }
+    }
+    narrowMasks = false;
 }
 
 TEST(Audit, CatchesLeakedFlit)

@@ -19,7 +19,8 @@ set -euo pipefail
 # network workers spin up.  The other paper figures (fig13, fig14,
 # fig15, fig16, fig17), bursty (the only golden with MMPP arrivals),
 # ablation (equal-priority speculation, 1 and 8 VCs, slow credits,
-# the torus) and patterns (the transpose, bitrev and shuffle tables)
+# the torus), patterns (the transpose, bitrev and shuffle tables) and
+# adaptive (west-first, the only routing re-routed on every attempt)
 # run at the default split; fig16 is the only golden in
 # sim.mode = fixed, and it drives neighbor traffic.
 CELLS="
@@ -49,6 +50,7 @@ fig17      -  -  -
 bursty     -  -  -
 ablation   -  -  -
 patterns   -  -  -
+adaptive   -  -  -
 "
 
 if [[ $# -gt 1 ]]; then
